@@ -41,9 +41,9 @@ pub struct ClusterBackend<'a> {
     cluster: &'a mut Cluster,
     pending_plan: Option<usize>,
     /// Preloaded row cache ([`RoundBackend::preload_rows`]): global row
-    /// index → position in the cached matrix. Mini-batch's per-step
-    /// gathers are served from here, collapsing its ~`steps` wire
-    /// cycles into one.
+    /// index → position in the cached matrix. Mini-batch's windowed
+    /// gathers are served from here, collapsing its wire cycles into
+    /// one.
     preload: Option<(HashMap<usize, usize>, PointMatrix)>,
 }
 

@@ -846,8 +846,10 @@ impl RoundBackend for CheckpointingBackend<'_, '_> {
     }
 
     // `preload_rows` deliberately stays the trait's no-op default:
-    // checkpointed mini-batch keeps its per-batch journaled gathers —
-    // durability at round granularity over collapsing the gathers.
+    // checkpointed mini-batch keeps one journaled gather per window of
+    // steps (`drive_minibatch`'s windows: 13 gathers for 100 steps of
+    // 1024 rows at d = 15) — durability at round granularity over
+    // collapsing the gathers.
 }
 
 #[cfg(test)]

@@ -66,11 +66,11 @@ pub fn dist_lloyd(
 }
 
 /// Mini-batch k-means over the cluster — [`drive_minibatch`] on a
-/// [`ClusterBackend`]: each step gathers its uniform batch from the
-/// owning workers (`O(batch · d)` on the wire per step) and applies the
-/// gradient update on the coordinator. Bit-identical to the single-node
-/// mini-batch on the same seed — the distributed realization the driver
-/// abstraction bought for free.
+/// [`ClusterBackend`]: the rows of every step's uniform batch are
+/// gathered from the owning workers in one preload (`O(batch · d)` on
+/// the wire per step) and the gradient updates run on the coordinator.
+/// Bit-identical to the single-node mini-batch on the same seed — the
+/// distributed realization the driver abstraction bought for free.
 pub fn dist_minibatch(
     cluster: &mut Cluster,
     initial_centers: &PointMatrix,

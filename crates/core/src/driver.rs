@@ -195,10 +195,10 @@ pub trait RoundBackend {
     fn gather_rows(&mut self, indices: &[usize]) -> Result<PointMatrix, KMeansError>;
 
     /// [`RoundBackend::gather_rows`] into a caller-provided matrix
-    /// (cleared first), so steady-state gather loops — mini-batch draws
-    /// one batch per step — can reuse a single buffer. The default
-    /// delegates to `gather_rows`; local backends override it to be
-    /// allocation-free per call in steady state.
+    /// (cleared first), so steady-state gather loops — mini-batch
+    /// gathers one window of steps per call — can reuse a single
+    /// buffer. The default delegates to `gather_rows`; local backends
+    /// override it to be allocation-free per call in steady state.
     fn gather_rows_into(
         &mut self,
         indices: &[usize],
@@ -371,9 +371,11 @@ pub trait RoundBackend {
     /// Hint that the rows at `indices` will be gathered (possibly
     /// repeatedly, in arbitrary sub-batches) by upcoming
     /// [`RoundBackend::gather_rows_into`] calls. Local backends ignore
-    /// it; a distributed backend gathers the unique rows once and serves
-    /// the sub-batches from that cache, collapsing mini-batch's per-step
-    /// gathers into a single wire cycle.
+    /// it: their gathers already read each touched block once per call,
+    /// and [`drive_minibatch`] batches its steps into windows for them.
+    /// A distributed backend gathers the unique rows once and serves the
+    /// windows from that cache, collapsing mini-batch's gathers into a
+    /// single wire cycle.
     fn preload_rows(&mut self, _indices: &[usize]) -> Result<(), KMeansError> {
         Ok(())
     }
@@ -718,18 +720,41 @@ pub fn drive_lloyd(
     })
 }
 
+/// Byte bound on the rows one mini-batch window gathers: the driver
+/// fetches the batches of [`minibatch_window_steps`] consecutive steps
+/// with one [`RoundBackend::gather_rows_into`] call. A fixed bound, not
+/// a tuning option — 1 MiB of gathered rows beside the model is noise,
+/// while it turns a block source's one sweep per step into one sweep
+/// per window.
+pub const MINIBATCH_WINDOW_BYTES: usize = 1 << 20;
+
+/// Steps per mini-batch gather window for `batch_size` rows of `dim`
+/// features: `max(1, ⌊MINIBATCH_WINDOW_BYTES / (batch_size · dim · 8)⌋)`.
+pub fn minibatch_window_steps(batch_size: usize, dim: usize) -> usize {
+    let batch_bytes = batch_size.saturating_mul(dim).saturating_mul(8).max(1);
+    (MINIBATCH_WINDOW_BYTES / batch_bytes).max(1)
+}
+
 /// Sculley's mini-batch k-means over any backend — the one
 /// implementation of the step loop. Each step draws the same uniform
-/// batch indices (RNG tag 40), gathers the rows from their owners, and
-/// applies the two-phase gradient step on the driver side; only
-/// `O(batch · d)` feature data ever moves per step, which is what makes
-/// the distributed realization essentially free.
+/// batch indices (RNG tag 40) and applies the two-phase gradient step
+/// on the driver side; only `O(batch · d)` feature data ever moves per
+/// step, which is what makes the distributed realization essentially
+/// free.
 ///
-/// The random gather pattern is where backends diverge in *cost*: a
-/// budgeted `BlockFileSource` serves repeated blocks from its cache,
-/// `CsvSource` re-parses every touched block per batch (convert large
-/// CSVs with `skm convert` first), and a cluster ships each batch over
-/// the wire.
+/// Rows are gathered a window at a time: one
+/// [`RoundBackend::gather_rows_into`] call fetches the batches of
+/// [`minibatch_window_steps`] consecutive steps (at most
+/// [`MINIBATCH_WINDOW_BYTES`] of rows), and each step runs on its slice
+/// of that buffer. A uniform batch touches nearly every block of a
+/// block source, and a block-sorted gather reads each touched block
+/// once, so a `BlockFileSource` pays about one sweep per window rather
+/// than one per step; `CsvSource` re-parses every touched block per
+/// window (convert large CSVs with `skm convert` first). A cluster
+/// gathers the unique rows of all steps once
+/// ([`RoundBackend::preload_rows`]) and serves the windows from that
+/// cache. The window changes only where rows are fetched, never the
+/// step arithmetic, so results are bit-identical for any window.
 ///
 /// Returns the refined centers plus the batch-assignment [`KernelStats`]
 /// accumulated across all steps.
@@ -747,52 +772,53 @@ pub fn drive_minibatch(
     }
 
     let n = backend.len();
+    let batch = config.batch_size;
     let mut centers = initial_centers.clone();
     let mut seen = vec![0u64; centers.len()];
     let mut rng = Rng::derive(seed, &[40]);
-    let mut labels = vec![0u32; config.batch_size];
-    let mut d2 = vec![0.0f64; config.batch_size];
-    // All batch indices are drawn up front (the loop body consumes no
-    // other randomness, so the tag-40 stream is identical to drawing
-    // per step) and announced to the backend: a distributed backend
-    // gathers the unique rows once instead of paying one wire cycle per
-    // step.
-    let mut batches: Vec<Vec<usize>> = Vec::with_capacity(config.iterations);
-    for _ in 0..config.iterations {
-        let mut batch = vec![0usize; config.batch_size];
-        for slot in &mut batch {
-            *slot = rng.range_usize(n);
-        }
-        batches.push(batch);
-    }
+    let mut labels = vec![0u32; batch];
+    let mut d2 = vec![0.0f64; batch];
+    // All batch indices are drawn up front, step after step (the loop
+    // body consumes no other randomness, so the tag-40 stream is
+    // identical to drawing per step) and announced to the backend: a
+    // distributed backend gathers the unique rows once instead of
+    // paying one wire cycle per window.
+    let draws = config.iterations.checked_mul(batch).ok_or_else(|| {
+        KMeansError::InvalidConfig("batch_size · iterations overflows usize".into())
+    })?;
+    let indices: Vec<usize> = (0..draws).map(|_| rng.range_usize(n)).collect();
     {
-        let mut unique: Vec<usize> = batches.iter().flatten().copied().collect();
+        let mut unique = indices.clone();
         unique.sort_unstable();
         unique.dedup();
         backend.preload_rows(&unique)?;
     }
-    // One reused gather buffer across all steps — local backends fill it
-    // allocation-free in steady state.
-    let mut rows = PointMatrix::with_capacity(backend.dim(), config.batch_size);
+    let window = minibatch_window_steps(batch, backend.dim());
+    // One reused gather buffer across all windows — local backends fill
+    // it allocation-free in steady state.
+    let mut rows = PointMatrix::with_capacity(backend.dim(), window * batch);
     let mut stats = KernelStats::default();
-    for batch in &batches {
-        backend.gather_rows_into(batch, &mut rows)?;
-        // Assign against frozen centers, then apply the gradient steps in
-        // batch order — Sculley's two-phase step avoids order dependence
-        // within a batch. The batch is candidate-set sized, so the kernel
-        // pass runs on the driver side for every backend.
-        {
-            let kernel = AssignKernel::new(&centers);
-            stats.absorb(kernel.assign(&rows, 0..rows.len(), &mut labels, &mut d2));
-        }
-        for (j, &c) in labels.iter().enumerate() {
-            let c = c as usize;
-            seen[c] += 1;
-            let eta = 1.0 / seen[c] as f64;
-            let row = rows.row(j);
-            let center = centers.row_mut(c);
-            for (slot, &x) in center.iter_mut().zip(row) {
-                *slot += eta * (x - *slot);
+    for window_indices in indices.chunks(window * batch) {
+        backend.gather_rows_into(window_indices, &mut rows)?;
+        for start in (0..window_indices.len()).step_by(batch) {
+            // Assign against frozen centers, then apply the gradient
+            // steps in batch order — Sculley's two-phase step avoids
+            // order dependence within a batch. The batch is candidate-set
+            // sized, so the kernel pass runs on the driver side for every
+            // backend.
+            {
+                let kernel = AssignKernel::new(&centers);
+                stats.absorb(kernel.assign(&rows, start..start + batch, &mut labels, &mut d2));
+            }
+            for (j, &c) in labels.iter().enumerate() {
+                let c = c as usize;
+                seen[c] += 1;
+                let eta = 1.0 / seen[c] as f64;
+                let row = rows.row(start + j);
+                let center = centers.row_mut(c);
+                for (slot, &x) in center.iter_mut().zip(row) {
+                    *slot += eta * (x - *slot);
+                }
             }
         }
     }

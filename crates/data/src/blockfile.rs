@@ -18,7 +18,10 @@
 //! the `skm convert` subcommand never materializes the dataset) or
 //! [`write_block_file`] (from an in-memory matrix); read them with
 //! [`BlockFileSource`], which enforces a caller-configured memory budget
-//! and reports peak residency for the out-of-core assertions in
+//! with a fill-once block cache (blocks are admitted in first-read order
+//! while they fit and never evicted, so the cyclic ascending sweeps of
+//! every pass and block-sorted gather hit the same cached blocks each
+//! time) and reports peak residency for the out-of-core assertions in
 //! `tests/chunked_parity.rs`.
 
 use crate::chunked::{check_block_buffer, ChunkedSource, Residency};
@@ -231,32 +234,38 @@ pub fn is_block_file(path: impl AsRef<Path>) -> bool {
     file.read_exact(&mut magic).is_ok() && magic == BLOCK_FILE_MAGIC
 }
 
-/// One cached decoded block; `tick` is the last-use stamp LRU eviction
-/// compares.
-struct CacheEntry {
-    data: Vec<f64>,
-    tick: u64,
-}
+/// Bound on the miss path's staging buffer: a miss reads its block in
+/// chunks of whole rows of at most this many bytes (one row, if a row is
+/// wider).
+const STAGE_BYTES: usize = 64 * 1024;
 
-/// LRU cache + accounting state behind the reader's interior mutability.
+/// Cache + accounting state behind the reader's interior mutability.
 /// Lookup is O(1) (hits are the hot path — one per gather on cached
-/// blocks); the least-recently-used scan runs only when a miss must evict.
+/// blocks). The cache fills once and never evicts.
 struct ReaderState {
     file: File,
-    cache: HashMap<usize, CacheEntry>,
+    cache: HashMap<usize, Vec<f64>>,
     cache_bytes: u64,
-    tick: u64,
+    /// The one miss-path staging buffer, reused across misses.
+    stage: Vec<u8>,
     stats: Residency,
 }
 
 /// Budgeted [`ChunkedSource`] over a binary block file.
 ///
 /// The memory budget covers every decoded feature block the source
-/// materializes: the block copy handed to the caller plus an internal LRU
-/// cache (capacity `budget − block_bytes`; zero cache when the budget only
-/// fits the working block). Cache misses stream-decode through a fixed
-/// staging buffer of at most 64 KiB — the only allocation outside the
-/// budget, constant regardless of block or dataset size.
+/// materializes: the block copy handed to the caller plus an internal
+/// fill-once cache (capacity `budget − block_bytes`; zero cache when the
+/// budget only fits the working block). The cache admits blocks in first-
+/// read order while they fit and never evicts: every pass and every
+/// block-sorted gather walks the blocks in ascending order, and under such
+/// cyclic sweeps an LRU cache evicts each block just before it is needed
+/// again (zero hits), while a fill-once cache serves the same
+/// `capacity / block_bytes` blocks on every sweep. Cache misses decode
+/// straight into the caller's block through one reused staging buffer of
+/// at most 64 KiB (one row, for rows wider than that) — the only
+/// allocation outside the budget, constant regardless of block or
+/// dataset size.
 /// [`ChunkedSource::residency`] reports the peak, and
 /// `peak_bytes ≤ budget` is an invariant — a dataset larger than the
 /// budget streams, it is never fully resident.
@@ -335,7 +344,7 @@ impl BlockFileSource {
                 file,
                 cache: HashMap::new(),
                 cache_bytes: 0,
-                tick: 0,
+                stage: Vec::new(),
                 stats: Residency {
                     budget_bytes: Some(budget_bytes),
                     ..Residency::default()
@@ -379,60 +388,38 @@ impl ChunkedSource for BlockFileSource {
         let block_bytes = (values * 8) as u64;
         let mut state = self.state.lock().expect("BlockFileSource state poisoned");
         let state = &mut *state;
-        state.tick += 1;
 
         out.clear();
-        if let Some(entry) = state.cache.get_mut(&block) {
-            // Hit: serve from cache and stamp most-recently-used.
-            entry.tick = state.tick;
-            out.extend_from_flat(&entry.data)?;
+        if let Some(data) = state.cache.get(&block) {
+            out.extend_from_flat(data)?;
             state.stats.hits += 1;
         } else {
-            // Miss: one seek, then stream-decode straight into `out`
-            // through a small fixed staging buffer, so a miss never
+            // Miss: one seek, then read through the reused stage and
+            // decode each chunk straight into `out`, so a miss never
             // materializes more than the caller's block copy (plus the
-            // ≤64 KiB stage, excluded from the feature-byte accounting).
+            // stage, excluded from the feature-byte accounting).
             let offset = HEADER_BYTES + (range.start as u64) * (self.dim as u64) * 8;
             state.file.seek(SeekFrom::Start(offset))?;
             let row_bytes = self.dim * 8;
-            let stage_rows = (64 * 1024 / row_bytes).clamp(1, range.len());
-            let mut raw = vec![0u8; stage_rows * row_bytes];
-            let mut decoded: Vec<f64> = Vec::with_capacity(stage_rows * self.dim);
+            // Sized by the full block, so the stage is allocated on the
+            // first miss and never resized again.
+            let stage_rows = (STAGE_BYTES / row_bytes).clamp(1, self.block_rows);
+            state.stage.resize(stage_rows * row_bytes, 0);
             let mut remaining = range.len();
             while remaining > 0 {
                 let take = remaining.min(stage_rows);
-                let chunk = &mut raw[..take * row_bytes];
+                let chunk = &mut state.stage[..take * row_bytes];
                 state.file.read_exact(chunk)?;
-                decoded.clear();
-                for bytes in chunk.chunks_exact(8) {
-                    decoded.push(f64::from_le_bytes(bytes.try_into().expect("8 bytes")));
-                }
-                out.extend_from_flat(&decoded)?;
+                out.extend_from_le_bytes(chunk);
                 remaining -= take;
             }
             state.stats.loads += 1;
-            // Cache within budget: capacity is what remains after the
-            // caller's working copy.
+            // Admit while the block fits in what remains of the budget
+            // after the caller's working copy; never evict.
             let capacity = self.budget_bytes - ((self.block_rows * self.dim * 8) as u64);
-            if block_bytes <= capacity {
-                while state.cache_bytes + block_bytes > capacity {
-                    let oldest = *state
-                        .cache
-                        .iter()
-                        .min_by_key(|(_, e)| e.tick)
-                        .expect("cache_bytes > 0 implies a cached entry")
-                        .0;
-                    let evicted = state.cache.remove(&oldest).expect("key just found");
-                    state.cache_bytes -= (evicted.data.len() * 8) as u64;
-                }
+            if state.cache_bytes + block_bytes <= capacity {
                 state.cache_bytes += block_bytes;
-                state.cache.insert(
-                    block,
-                    CacheEntry {
-                        data: out.as_slice().to_vec(),
-                        tick: state.tick,
-                    },
-                );
+                state.cache.insert(block, out.as_slice().to_vec());
             }
         }
         let resident = state.cache_bytes + block_bytes;
@@ -527,6 +514,67 @@ mod tests {
         let r = source.residency();
         assert_eq!(r.loads, 4, "each block decoded once");
         assert_eq!(r.hits, 8, "subsequent passes served from cache");
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn fill_once_cache_hits_on_every_repeated_sweep() {
+        let path = tmp("fill_once.skmb");
+        let m = matrix(40, 2);
+        // 10 blocks of 64 B, read under a budget of the working copy plus
+        // a 3-block cache: ascending sweeps evict each block just before
+        // its next use under LRU (zero hits).
+        write_block_file(&path, &m, 4).unwrap();
+        let source = BlockFileSource::open(&path, 64 * 4).unwrap();
+        let capacity_blocks = 3;
+        let mut buf = source.block_buffer();
+        let mut before = source.residency();
+        for sweep in 0..4 {
+            for b in 0..source.num_blocks() {
+                source.read_block(b, &mut buf).unwrap();
+                let range = source.block_range(b);
+                assert_eq!(
+                    buf.as_slice(),
+                    &m.as_slice()[range.start * 2..range.end * 2]
+                );
+            }
+            let r = source.residency();
+            let hits = if sweep == 0 { 0 } else { capacity_blocks };
+            assert_eq!(r.hits - before.hits, hits, "sweep {sweep}: hits");
+            assert_eq!(r.loads - before.loads, 10 - hits, "sweep {sweep}: loads");
+            assert!(
+                r.peak_bytes <= 64 * 4,
+                "sweep {sweep}: peak {}",
+                r.peak_bytes
+            );
+            before = r;
+        }
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn fill_once_cache_admits_a_short_tail_block() {
+        let path = tmp("fill_once_tail.skmb");
+        let m = matrix(37, 2);
+        // 9 blocks of 64 B plus a 16 B tail, read under a budget of the
+        // working copy plus one full block and the tail.
+        write_block_file(&path, &m, 4).unwrap();
+        let source = BlockFileSource::open(&path, 64 * 2 + 16).unwrap();
+        assert_eq!(source.num_blocks(), 10);
+        let mut buf = source.block_buffer();
+        for _ in 0..2 {
+            for b in 0..source.num_blocks() {
+                source.read_block(b, &mut buf).unwrap();
+            }
+        }
+        // Blocks 0 and 9 (the tail) were admitted on the first sweep.
+        let r = source.residency();
+        assert_eq!((r.loads, r.hits), (18, 2));
+        assert_eq!(r.peak_bytes, 64 * 2 + 16);
+        source.read_block(9, &mut buf).unwrap();
+        assert_eq!(buf.len(), 1);
+        assert_eq!(buf.row(0), m.row(36));
+        assert_eq!(source.residency().hits, 3, "the tail is served from cache");
         std::fs::remove_file(path).unwrap();
     }
 

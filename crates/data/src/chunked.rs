@@ -19,8 +19,8 @@
 //!   at open time; exactly one block of parsed floats is resident at a
 //!   time.
 //! * [`BlockFileSource`](crate::blockfile::BlockFileSource) — binary block
-//!   file reader with a configurable memory budget and an LRU block cache
-//!   (see [`crate::blockfile`]).
+//!   file reader with a configurable memory budget and a fill-once block
+//!   cache (see [`crate::blockfile`]).
 //!
 //! Residency accounting: every source reports a [`Residency`] snapshot —
 //! the peak number of feature bytes it ever materialized at once — which

@@ -182,6 +182,18 @@ impl PointMatrix {
         Ok(())
     }
 
+    /// Appends whole rows decoded from little-endian `f64` bytes (the
+    /// block-file payload encoding) in one pass, with no intermediate
+    /// buffer. `bytes` must hold whole rows (checked in debug builds).
+    pub(crate) fn extend_from_le_bytes(&mut self, bytes: &[u8]) {
+        debug_assert!(bytes.len().is_multiple_of(self.dim * 8));
+        self.data.extend(
+            bytes
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes"))),
+        );
+    }
+
     /// Appends all rows of `other`.
     pub fn extend_from(&mut self, other: &PointMatrix) -> Result<(), DataError> {
         if other.dim != self.dim {

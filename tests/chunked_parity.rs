@@ -192,6 +192,59 @@ fn block_file_run_stays_within_budget_and_matches_in_memory() {
     std::fs::remove_file(path).unwrap();
 }
 
+/// The out-of-core mini-batch I/O gate: a deterministic block-load count,
+/// not a timing. Mini-batch gathers a window of steps per block sweep, so
+/// a fit decodes at most one sweep per seeding pass, one per window and
+/// one for the closing labeling pass, plus the seeder's sampled rows —
+/// never one sweep per step.
+#[test]
+fn block_file_minibatch_reads_one_sweep_per_window() {
+    let points = gauss(4096, 6, 9); // 4096 × 15 × 8 B = 480 KiB payload
+    let path = tmp("minibatch_io.skmb");
+    write_block_file(&path, &points, 128).unwrap(); // 15 KiB per block
+    let budget = 4 * 15 * 1024; // the working block + a 3-block cache
+    let source = Arc::new(BlockFileSource::open(&path, budget).unwrap());
+    let blocks = source.num_blocks() as u64;
+    let (k, batch_size, steps) = (6usize, 1024usize, 20usize);
+    let window = kmeans_core::driver::minibatch_window_steps(batch_size, points.dim());
+    assert_eq!(window, 8);
+
+    let base = KMeans::params(k)
+        .init(Random)
+        .refine(MiniBatch(MiniBatchConfig {
+            batch_size,
+            iterations: steps,
+        }))
+        .seed(4)
+        .shard_size(256);
+    let model = base
+        .clone()
+        .data_source_shared(Arc::clone(&source) as Arc<dyn ChunkedSource>)
+        .fit_chunked()
+        .unwrap();
+    assert_eq!(model.centers(), base.fit(&points).unwrap().centers());
+
+    // Random seeding: k sampled rows plus the seed-cost pass.
+    let seeding_passes = 1;
+    let windows = steps.div_ceil(window) as u64;
+    let gate = (seeding_passes + 1) * blocks + windows * blocks + k as u64;
+    let per_step = steps as u64 * (blocks - 3);
+    assert!(gate < per_step, "the gate must separate windows from steps");
+    let r = source.residency();
+    assert!(
+        r.loads <= gate,
+        "{} block loads for {blocks} blocks, {steps} steps in {windows} windows (gate {gate})",
+        r.loads
+    );
+    assert!(r.hits > 0, "the fill-once cache must serve repeated sweeps");
+    assert!(
+        r.peak_bytes <= budget,
+        "peak resident {} exceeds budget {budget}",
+        r.peak_bytes
+    );
+    std::fs::remove_file(path).unwrap();
+}
+
 /// CSV-backed chunked fits agree with the in-memory fit of the parsed file.
 #[test]
 fn csv_source_matches_in_memory() {

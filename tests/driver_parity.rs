@@ -12,10 +12,11 @@ use scalable_kmeans::cluster::{
     spawn_loopback_worker, Cluster, ClusterBackend, FitDistributed, Transport,
 };
 use scalable_kmeans::core::driver::{
-    drive_kmeans_parallel, drive_lloyd, drive_minibatch, drive_random_init, ChunkedBackend,
-    InMemoryBackend, RoundBackend,
+    drive_kmeans_parallel, drive_lloyd, drive_minibatch, drive_random_init, minibatch_window_steps,
+    ChunkedBackend, InMemoryBackend, RoundBackend,
 };
 use scalable_kmeans::core::init::{kmeans_parallel, KMeansParallelConfig, SamplingMode};
+use scalable_kmeans::core::kernel::{AssignKernel, KernelStats};
 use scalable_kmeans::core::lloyd::{lloyd, LloydConfig, LloydResult};
 use scalable_kmeans::core::minibatch::{minibatch_kmeans_traced, MiniBatchConfig};
 use scalable_kmeans::core::model::KMeans;
@@ -255,6 +256,114 @@ proptest! {
                     drive_minibatch(&mut backend, &init, &config, seed).unwrap();
                 prop_assert_eq!(&d_centers, &reference);
                 prop_assert_eq!(d_stats, ref_stats);
+            }
+            shutdown(cluster, handles);
+        }
+    }
+}
+
+/// Sculley's step loop with one gather per step: the reference the
+/// windowed `drive_minibatch` must match bit for bit, since a window
+/// changes only where rows come from.
+fn minibatch_per_step(
+    points: &PointMatrix,
+    init: &PointMatrix,
+    config: &MiniBatchConfig,
+    seed: u64,
+) -> (PointMatrix, KernelStats) {
+    let mut rng = scalable_kmeans::util::Rng::derive(seed, &[40]);
+    let mut centers = init.clone();
+    let mut seen = vec![0u64; centers.len()];
+    let mut labels = vec![0u32; config.batch_size];
+    let mut d2 = vec![0.0f64; config.batch_size];
+    let mut stats = KernelStats::default();
+    let batches: Vec<Vec<usize>> = (0..config.iterations)
+        .map(|_| {
+            (0..config.batch_size)
+                .map(|_| rng.range_usize(points.len()))
+                .collect()
+        })
+        .collect();
+    for batch in &batches {
+        let rows = points.select(batch);
+        let kernel = AssignKernel::new(&centers);
+        stats.absorb(kernel.assign(&rows, 0..rows.len(), &mut labels, &mut d2));
+        for (j, &c) in labels.iter().enumerate() {
+            let c = c as usize;
+            seen[c] += 1;
+            let eta = 1.0 / seen[c] as f64;
+            for (slot, &x) in centers.row_mut(c).iter_mut().zip(rows.row(j)) {
+                *slot += eta * (x - *slot);
+            }
+        }
+    }
+    (centers, stats)
+}
+
+/// Mini-batch across gather-window edges: a step count that is not a
+/// multiple of the window, and a batch bigger than the window's byte
+/// bound (one step per window). In-memory, chunked at several block
+/// sizes and distributed all match the per-step oracle bit for bit.
+#[test]
+fn minibatch_window_edges_agree_across_backends() {
+    // (n, d, k, batch_size, iterations, expected steps per window)
+    let cases = [
+        (150usize, 3usize, 4usize, 12_800usize, 7usize, 3usize),
+        (130, 4, 3, 40_000, 3, 1),
+    ];
+    for (case, &(n, d, k, batch_size, iterations, window)) in cases.iter().enumerate() {
+        assert_eq!(minibatch_window_steps(batch_size, d), window, "case {case}");
+        if window > 1 {
+            assert_ne!(
+                iterations % window,
+                0,
+                "case {case}: needs a partial window"
+            );
+        }
+        let seed = 17 + case as u64;
+        let points = gauss(n, d, seed ^ 0xfeed);
+        let init = {
+            let exec = Executor::sequential().with_shard_size(SHARD);
+            let mut mem = InMemoryBackend::new(&points, &exec);
+            drive_random_init(&mut mem, k, seed).unwrap().0
+        };
+        let config = MiniBatchConfig {
+            batch_size,
+            iterations,
+        };
+        let (oracle, oracle_stats) = minibatch_per_step(&points, &init, &config, seed);
+        let (reference, ref_stats) =
+            minibatch_kmeans_traced(&points, &init, &config, seed).unwrap();
+        assert_eq!(
+            reference, oracle,
+            "case {case}: in-memory vs per-step oracle"
+        );
+        assert_eq!(ref_stats, oracle_stats, "case {case}: kernel counters");
+
+        let exec = Executor::sequential().with_shard_size(SHARD);
+        for block_rows in [2usize, 19, 64] {
+            let source = InMemorySource::new(points.clone(), block_rows).unwrap();
+            let mut chunked = ChunkedBackend::new(&source, &exec);
+            let (c_centers, c_stats) = drive_minibatch(&mut chunked, &init, &config, seed).unwrap();
+            assert_eq!(
+                c_centers, oracle,
+                "case {case}: chunked, blocks {block_rows}"
+            );
+            assert_eq!(c_stats, oracle_stats, "case {case}: chunked counters");
+        }
+        for workers in [2usize, 4] {
+            let (mut cluster, handles) =
+                loopback_cluster(&points, workers, 19, Parallelism::Sequential);
+            cluster.plan(SHARD).unwrap();
+            {
+                let mut backend = ClusterBackend::new(&mut cluster);
+                let (d_centers, d_stats) =
+                    drive_minibatch(&mut backend, &init, &config, seed).unwrap();
+                assert_eq!(d_centers, oracle, "case {case}: {workers} workers");
+                assert_eq!(
+                    d_stats, oracle_stats,
+                    "case {case}: {workers} workers counters"
+                );
             }
             shutdown(cluster, handles);
         }
