@@ -5,10 +5,13 @@
 //! API opened.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kmeans_core::init::{InitMethod, KMeansParallelConfig};
+use kmeans_core::init::KMeansParallelConfig;
 use kmeans_core::minibatch::MiniBatchConfig;
 use kmeans_core::model::KMeans;
-use kmeans_core::pipeline::{HamerlyLloyd, Initializer, Lloyd, MiniBatch, NoRefine, Refiner};
+use kmeans_core::pipeline::{
+    HamerlyLloyd, Initializer, KMeansParallel, KMeansPlusPlus, Lloyd, MiniBatch, NoRefine, Random,
+    Refiner,
+};
 use kmeans_data::synth::GaussMixture;
 use kmeans_par::{Executor, Parallelism};
 use kmeans_streaming::{Coreset, Partition};
@@ -34,25 +37,21 @@ fn bench_init_methods(c: &mut Criterion) {
     group.bench_function("random", |b| {
         b.iter(|| {
             seed += 1;
-            InitMethod::Random.run(points, k, seed, &exec).unwrap()
+            Random.init(points, None, k, seed, &exec).unwrap()
         })
     });
     group.bench_function("kmeans_pp", |b| {
         b.iter(|| {
             seed += 1;
-            InitMethod::KMeansPlusPlus
-                .run(points, k, seed, &exec)
-                .unwrap()
+            KMeansPlusPlus.init(points, None, k, seed, &exec).unwrap()
         })
     });
     for factor in [0.5, 2.0] {
         group.bench_function(format!("kmeans_par_l{factor}k_r5"), |b| {
-            let init = InitMethod::KMeansParallel(
-                KMeansParallelConfig::default().oversampling_factor(factor),
-            );
+            let init = KMeansParallel(KMeansParallelConfig::default().oversampling_factor(factor));
             b.iter(|| {
                 seed += 1;
-                init.run(points, k, seed, &exec).unwrap()
+                init.init(points, None, k, seed, &exec).unwrap()
             })
         });
     }
@@ -71,12 +70,9 @@ fn bench_init_refine_grid(c: &mut Criterion) {
     let k = 16;
 
     let inits: Vec<(&str, Arc<dyn Initializer>)> = vec![
-        ("random", Arc::new(kmeans_core::pipeline::Random)),
-        ("kmeans_pp", Arc::new(kmeans_core::pipeline::KMeansPlusPlus)),
-        (
-            "kmeans_par",
-            Arc::new(kmeans_core::pipeline::KMeansParallel::default()),
-        ),
+        ("random", Arc::new(Random)),
+        ("kmeans_pp", Arc::new(KMeansPlusPlus)),
+        ("kmeans_par", Arc::new(KMeansParallel::default())),
         (
             "afk_mc2",
             Arc::new(kmeans_core::pipeline::AfkMc2 { chain_length: 100 }),

@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kmeans_core::accel::hamerly_lloyd;
-use kmeans_core::lloyd::{lloyd, LloydConfig};
+use kmeans_core::driver::{drive_lloyd, InMemoryBackend};
+use kmeans_core::lloyd::LloydConfig;
 use kmeans_data::synth::GaussMixture;
 use kmeans_par::{Executor, Parallelism};
 use std::time::Duration;
@@ -30,7 +31,7 @@ fn bench_lloyd_iteration(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     group.bench_function("sequential", |b| {
         let exec = Executor::sequential();
-        b.iter(|| lloyd(points, &init, &config, &exec).unwrap())
+        b.iter(|| drive_lloyd(&mut InMemoryBackend::new(points, &exec), &init, &config).unwrap())
     });
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -42,7 +43,9 @@ fn bench_lloyd_iteration(c: &mut Criterion) {
     for threads in thread_counts {
         group.bench_function(format!("threads_{threads}"), |b| {
             let exec = Executor::new(Parallelism::Threads(threads));
-            b.iter(|| lloyd(points, &init, &config, &exec).unwrap())
+            b.iter(|| {
+                drive_lloyd(&mut InMemoryBackend::new(points, &exec), &init, &config).unwrap()
+            })
         });
     }
     group.finish();
@@ -60,7 +63,7 @@ fn bench_lloyd_iteration(c: &mut Criterion) {
     let full = LloydConfig::default();
     group.bench_function("plain", |b| {
         let exec = Executor::sequential();
-        b.iter(|| lloyd(points, &init, &full, &exec).unwrap())
+        b.iter(|| drive_lloyd(&mut InMemoryBackend::new(points, &exec), &init, &full).unwrap())
     });
     group.bench_function("hamerly", |b| {
         let exec = Executor::sequential();

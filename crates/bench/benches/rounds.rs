@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use kmeans_core::cost::CostTracker;
 use kmeans_core::distance::nearest;
-use kmeans_core::init::{kmeans_parallel, KMeansParallelConfig};
+use kmeans_core::driver::{drive_kmeans_parallel, InMemoryBackend};
+use kmeans_core::init::KMeansParallelConfig;
 use kmeans_data::synth::GaussMixture;
 use kmeans_data::PointMatrix;
 use kmeans_par::Executor;
@@ -32,7 +33,8 @@ fn bench_oversampling(c: &mut Criterion) {
             let config = KMeansParallelConfig::default().oversampling_factor(factor);
             b.iter(|| {
                 seed += 1;
-                kmeans_parallel(points, k, &config, seed, &exec).unwrap()
+                drive_kmeans_parallel(&mut InMemoryBackend::new(points, &exec), k, &config, seed)
+                    .unwrap()
             })
         });
     }

@@ -245,8 +245,8 @@ pub fn write_merged_serve(path: &Path, records: &[ServeRecord]) {
 
 /// Reads back the `"wall_ns"` value of the record with `id` from a bench
 /// artifact written by this module, if present — the hook the driver
-/// bench's quick mode uses to compare against the committed pre-refactor
-/// trajectory.
+/// bench's quick mode uses to gate against the committed record of the
+/// same workload.
 pub fn read_wall_ns(path: &Path, fragment: &str) -> Option<u128> {
     let body = std::fs::read_to_string(path).ok()?;
     for line in body.lines() {

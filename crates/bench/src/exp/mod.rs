@@ -45,11 +45,29 @@ pub fn sequential_suite() -> Vec<Method> {
     ]
 }
 
-use kmeans_core::init::{InitMethod, KMeansParallelConfig, SamplingMode, TopUp};
-use kmeans_core::lloyd::{lloyd, LloydConfig};
+use crate::run::fit_with_lloyd;
+use kmeans_core::init::{KMeansParallelConfig, SamplingMode, TopUp};
+use kmeans_core::lloyd::LloydConfig;
+use kmeans_core::model::KMeansModel;
+use kmeans_core::pipeline::{KMeansParallel, KMeansPlusPlus};
 use kmeans_data::PointMatrix;
 use kmeans_par::Executor;
 use kmeans_util::stats::median;
+
+/// Median seed cost and median final cost over `runs` fits, with seeds
+/// `base_seed..base_seed+runs`.
+fn median_seed_final(runs: usize, base_seed: u64, fit: impl Fn(u64) -> KMeansModel) -> (f64, f64) {
+    let (seeds, finals): (Vec<f64>, Vec<f64>) = (0..runs)
+        .map(|r| {
+            let model = fit(base_seed + r as u64);
+            (model.init_stats().seed_cost, model.cost())
+        })
+        .unzip();
+    (
+        median(&seeds).expect("runs >= 1"),
+        median(&finals).expect("runs >= 1"),
+    )
+}
 
 /// Runs k-means|| (given ℓ/k factor, rounds, sampling mode, top-up policy)
 /// followed by Lloyd, `runs` times; returns `(median seed cost, median
@@ -67,28 +85,16 @@ pub(crate) fn parallel_seed_final(
     lloyd_config: &LloydConfig,
     exec: &Executor,
 ) -> (f64, f64) {
-    let init = InitMethod::KMeansParallel(
+    let init = KMeansParallel(
         KMeansParallelConfig::default()
             .oversampling_factor(factor)
             .rounds(rounds)
             .sampling(mode)
             .topup(topup),
     );
-    let mut seeds = Vec::with_capacity(runs);
-    let mut finals = Vec::with_capacity(runs);
-    for r in 0..runs {
-        let result = init
-            .run(points, k, base_seed + r as u64, exec)
-            .expect("valid sweep configuration");
-        let out =
-            lloyd(points, &result.centers, lloyd_config, exec).expect("valid Lloyd configuration");
-        seeds.push(result.stats.seed_cost);
-        finals.push(out.cost);
-    }
-    (
-        median(&seeds).expect("runs >= 1"),
-        median(&finals).expect("runs >= 1"),
-    )
+    median_seed_final(runs, base_seed, |seed| {
+        fit_with_lloyd(init.clone(), points, k, seed, lloyd_config, exec)
+    })
 }
 
 /// Median seed/final cost of plain k-means++ (the baseline line drawn in
@@ -101,21 +107,9 @@ pub(crate) fn kmeanspp_seed_final(
     lloyd_config: &LloydConfig,
     exec: &Executor,
 ) -> (f64, f64) {
-    let mut seeds = Vec::with_capacity(runs);
-    let mut finals = Vec::with_capacity(runs);
-    for r in 0..runs {
-        let result = InitMethod::KMeansPlusPlus
-            .run(points, k, base_seed + r as u64, exec)
-            .expect("valid configuration");
-        let out =
-            lloyd(points, &result.centers, lloyd_config, exec).expect("valid Lloyd configuration");
-        seeds.push(result.stats.seed_cost);
-        finals.push(out.cost);
-    }
-    (
-        median(&seeds).expect("runs >= 1"),
-        median(&finals).expect("runs >= 1"),
-    )
+    median_seed_final(runs, base_seed, |seed| {
+        fit_with_lloyd(KMeansPlusPlus, points, k, seed, lloyd_config, exec)
+    })
 }
 
 #[cfg(test)]

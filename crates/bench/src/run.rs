@@ -1,12 +1,13 @@
 //! Uniform experiment driver: one [`Method`] = one row family in the
 //! paper's tables; one [`RunOutcome`] = every quantity any table reports.
 
-use kmeans_core::cost::potential;
-use kmeans_core::init::{InitMethod, KMeansParallelConfig, SamplingMode};
-use kmeans_core::lloyd::{lloyd, LloydConfig};
+use kmeans_core::init::{KMeansParallelConfig, SamplingMode};
+use kmeans_core::lloyd::LloydConfig;
+use kmeans_core::model::{KMeans, KMeansModel};
+use kmeans_core::pipeline::{Initializer, KMeansParallel, KMeansPlusPlus, Lloyd, Random};
 use kmeans_data::PointMatrix;
 use kmeans_par::Executor;
-use kmeans_streaming::partition::{partition_init, PartitionConfig};
+use kmeans_streaming::pipeline::Partition;
 use kmeans_util::stats::median;
 use kmeans_util::timing::Stopwatch;
 
@@ -69,7 +70,7 @@ pub struct RunOutcome {
     pub candidates: usize,
     /// Seeding wall time in seconds.
     pub init_secs: f64,
-    /// Lloyd wall time in seconds.
+    /// Wall time after seeding (seed-cost pass plus Lloyd) in seconds.
     pub lloyd_secs: f64,
 }
 
@@ -78,6 +79,32 @@ impl RunOutcome {
     pub fn total_secs(&self) -> f64 {
         self.init_secs + self.lloyd_secs
     }
+}
+
+/// Fits `init` + Lloyd through the [`KMeans`] builder on `exec`'s
+/// parallelism and shard size — the one fit path every table and figure
+/// measures.
+///
+/// # Panics
+///
+/// Panics if the underlying algorithms reject the configuration — the
+/// experiment grids are all valid by construction.
+pub fn fit_with_lloyd<I: Initializer + 'static>(
+    init: I,
+    points: &PointMatrix,
+    k: usize,
+    seed: u64,
+    lloyd_config: &LloydConfig,
+    exec: &Executor,
+) -> KMeansModel {
+    KMeans::params(k)
+        .init(init)
+        .refine(Lloyd(*lloyd_config))
+        .seed(seed)
+        .parallelism(exec.parallelism())
+        .shard_size(exec.shard_spec().shard_size())
+        .fit(points)
+        .expect("valid experiment configuration")
 }
 
 /// Runs `method` end-to-end (seed + Lloyd) once.
@@ -94,53 +121,38 @@ pub fn run_once(
     lloyd_config: &LloydConfig,
     exec: &Executor,
 ) -> RunOutcome {
-    let (centers, candidates, init_secs, seed_cost) = match method {
-        Method::Random | Method::KMeansPlusPlus | Method::KMeansParallel { .. } => {
-            let init_method = match method {
-                Method::Random => InitMethod::Random,
-                Method::KMeansPlusPlus => InitMethod::KMeansPlusPlus,
-                Method::KMeansParallel {
-                    factor,
-                    rounds,
-                    mode,
-                } => InitMethod::KMeansParallel(
-                    KMeansParallelConfig::default()
-                        .oversampling_factor(*factor)
-                        .rounds(*rounds)
-                        .sampling(*mode),
-                ),
-                Method::Partition => unreachable!(),
-            };
-            let result = init_method
-                .run(points, k, seed, exec)
-                .expect("valid experiment configuration");
-            (
-                result.centers,
-                result.stats.candidates,
-                result.stats.duration.as_secs_f64(),
-                result.stats.seed_cost,
-            )
+    let sw = Stopwatch::start();
+    let model = match method {
+        Method::Random => fit_with_lloyd(Random, points, k, seed, lloyd_config, exec),
+        Method::KMeansPlusPlus => {
+            fit_with_lloyd(KMeansPlusPlus, points, k, seed, lloyd_config, exec)
+        }
+        Method::KMeansParallel {
+            factor,
+            rounds,
+            mode,
+        } => {
+            let config = KMeansParallelConfig::default()
+                .oversampling_factor(*factor)
+                .rounds(*rounds)
+                .sampling(*mode);
+            fit_with_lloyd(KMeansParallel(config), points, k, seed, lloyd_config, exec)
         }
         Method::Partition => {
-            let sw = Stopwatch::start();
-            let result = partition_init(points, k, &PartitionConfig::default(), seed, exec)
-                .expect("valid experiment configuration");
-            let secs = sw.elapsed().as_secs_f64();
-            let seed_cost = potential(points, &result.centers, exec);
-            (result.centers, result.intermediate_centers, secs, seed_cost)
+            fit_with_lloyd(Partition::default(), points, k, seed, lloyd_config, exec)
         }
     };
-
-    let sw = Stopwatch::start();
-    let result = lloyd(points, &centers, lloyd_config, exec).expect("valid Lloyd configuration");
-    let lloyd_secs = sw.elapsed().as_secs_f64();
+    let total_secs = sw.elapsed().as_secs_f64();
+    let init = model.init_stats();
+    let init_secs = init.duration.as_secs_f64();
     RunOutcome {
-        seed_cost,
-        final_cost: result.cost,
-        lloyd_iterations: result.iterations,
-        candidates,
+        seed_cost: init.seed_cost,
+        final_cost: model.cost(),
+        lloyd_iterations: model.iterations(),
+        candidates: init.candidates,
         init_secs,
-        lloyd_secs,
+        // Everything after seeding: the seed-cost pass and Lloyd.
+        lloyd_secs: (total_secs - init_secs).max(0.0),
     }
 }
 

@@ -741,9 +741,9 @@ fn fit_distributed(
     let trips = cluster.round_trips();
     let worker_stats = cluster.fetch_stats()?;
     let summaries = cluster.worker_summaries();
-    let job = cluster.job_stats();
     let passes = cluster.data_passes();
     let (sent, received) = (cluster.bytes_sent(), cluster.bytes_received());
+    let blocked = cluster.blocked_wall();
     cluster.shutdown();
 
     write_csv(
@@ -758,8 +758,8 @@ fn fit_distributed(
         "distributed: {} workers, {passes} data passes, {trips} wire round trips, \
          {} B on the wire ({sent} B sent, {received} B received), coordinator blocked {:?}",
         summaries.len(),
-        job.bytes_shuffled,
-        job.map_wall,
+        sent + received,
+        blocked,
     )?;
     for (i, (summary, stats)) in summaries.iter().zip(&worker_stats).enumerate() {
         writeln!(
@@ -1845,7 +1845,12 @@ mod tests {
         );
         let events =
             kmeans_obs::parse_chrome_trace(&std::fs::read_to_string(&trace_file).unwrap()).unwrap();
-        for name in ["stage:init", "stage:refine", "assign", "tracker_update+sample"] {
+        for name in [
+            "stage:init",
+            "stage:refine",
+            "assign",
+            "tracker_update+sample",
+        ] {
             assert!(
                 events.iter().any(|e| e.name == name),
                 "trace missing span '{name}'"

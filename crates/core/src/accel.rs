@@ -1,6 +1,7 @@
 //! Hamerly's bounds-accelerated Lloyd iteration (Hamerly, SDM 2010) —
-//! an *exact* drop-in for [`lloyd`](crate::lloyd::lloyd) that skips most
-//! distance computations.
+//! an *exact* drop-in for Lloyd's iteration
+//! ([`drive_lloyd`](crate::driver::drive_lloyd)) that skips most distance
+//! computations.
 //!
 //! This is an extension beyond the paper (its §7 asks which k-means
 //! "modifications can also be efficiently parallelized"): per point it
@@ -15,8 +16,8 @@
 //! The algorithm computes the same assignments as plain Lloyd (it only
 //! skips provably redundant work), so the result is identical up to
 //! floating-point tie-breaking; `tests` verify label equality against
-//! [`lloyd`](crate::lloyd::lloyd). The return value reports how many
-//! distance evaluations were actually spent — the criterion bench
+//! [`drive_lloyd`](crate::driver::drive_lloyd). The return value reports
+//! how many distance evaluations were actually spent — the criterion bench
 //! `lloyd.rs` and the integration tests use it to verify real pruning.
 
 use crate::assign::MAX_SUM_SHARDS;
@@ -68,8 +69,8 @@ struct Partial {
 
 /// Runs Hamerly-accelerated Lloyd from the given initial centers.
 ///
-/// Accepts the same configuration as [`lloyd`](crate::lloyd::lloyd),
-/// except `tol` must be 0: the exact potential is not available
+/// Accepts the same configuration as
+/// [`drive_lloyd`](crate::driver::drive_lloyd), except `tol` must be 0: the exact potential is not available
 /// per-iteration without forfeiting the speedup, so this algorithm stops
 /// on assignment stability only and rejects a tolerance rather than
 /// silently ignoring it (a lloyd-vs-hamerly comparison at equal `tol`
@@ -288,8 +289,8 @@ fn two_nearest(row: &[f64], centers: &PointMatrix) -> (usize, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::init::InitMethod;
-    use crate::lloyd::lloyd;
+    use crate::driver::{drive_lloyd, InMemoryBackend};
+    use crate::pipeline::{Initializer, KMeansPlusPlus, Random};
     use kmeans_data::synth::GaussMixture;
     use kmeans_par::Parallelism;
 
@@ -309,11 +310,14 @@ mod tests {
         for seed in 0..4 {
             let points = mixture(8, 1_200, seed);
             let exec = Executor::sequential();
-            let init = InitMethod::KMeansPlusPlus
-                .run(&points, 8, seed, &exec)
-                .unwrap();
+            let init = KMeansPlusPlus.init(&points, None, 8, seed, &exec).unwrap();
             let config = LloydConfig::default();
-            let plain = lloyd(&points, &init.centers, &config, &exec).unwrap();
+            let plain = drive_lloyd(
+                &mut InMemoryBackend::new(&points, &exec),
+                &init.centers,
+                &config,
+            )
+            .unwrap();
             let fast = hamerly_lloyd(&points, &init.centers, &config, &exec).unwrap();
             assert_eq!(fast.labels, plain.labels, "seed {seed}");
             assert!(
@@ -330,9 +334,7 @@ mod tests {
     fn actually_prunes_distance_computations() {
         let points = mixture(16, 4_000, 9);
         let exec = Executor::sequential();
-        let init = InitMethod::KMeansPlusPlus
-            .run(&points, 16, 3, &exec)
-            .unwrap();
+        let init = KMeansPlusPlus.init(&points, None, 16, 3, &exec).unwrap();
         let result = hamerly_lloyd(&points, &init.centers, &LloydConfig::default(), &exec).unwrap();
         // Plain Lloyd would spend n·k per iteration.
         let plain_budget = 4_000u64 * 16 * result.iterations as u64;
@@ -347,8 +349,8 @@ mod tests {
     #[test]
     fn identical_across_thread_counts() {
         let points = mixture(6, 900, 4);
-        let init = InitMethod::KMeansPlusPlus
-            .run(&points, 6, 1, &Executor::sequential())
+        let init = KMeansPlusPlus
+            .init(&points, None, 6, 1, &Executor::sequential())
             .unwrap();
         let run = |par: Parallelism| {
             let exec = Executor::new(par).with_shard_size(128);
@@ -388,8 +390,8 @@ mod tests {
     #[test]
     fn respects_iteration_cap() {
         let points = mixture(8, 1_000, 2);
-        let init = InitMethod::Random
-            .run(&points, 8, 5, &Executor::sequential())
+        let init = Random
+            .init(&points, None, 8, 5, &Executor::sequential())
             .unwrap();
         let config = LloydConfig {
             max_iterations: 2,

@@ -21,13 +21,10 @@
 //!
 //! Backends:
 //!
-//! * [`InMemoryBackend`] — a resident [`PointMatrix`]; the in-memory
-//!   entry points (`kmeans_parallel`, `lloyd`, `minibatch_kmeans`) are
-//!   thin wrappers over it.
-//! * [`ChunkedBackend`] — a block-resident
-//!   [`ChunkedSource`]; behind
-//!   [`Initializer::init_chunked`](crate::pipeline::Initializer::init_chunked)
-//!   / [`Refiner::refine_chunked`](crate::pipeline::Refiner::refine_chunked).
+//! * [`InMemoryBackend`] — a resident [`PointMatrix`]; behind
+//!   [`KMeans::fit`](crate::model::KMeans::fit).
+//! * [`ChunkedBackend`] — a block-resident [`ChunkedSource`]; behind
+//!   [`KMeans::fit_chunked`](crate::model::KMeans::fit_chunked).
 //! * `ClusterBackend` (in `kmeans-cluster`) — a coordinator's worker
 //!   cluster speaking the SKW1 wire protocol.
 //!
@@ -179,9 +176,8 @@ pub trait RoundBackend {
         None
     }
 
-    /// Validates the seeding input contract for `k` clusters — the same
-    /// checks the legacy per-mode entry points performed (the in-memory
-    /// backend includes the upfront finiteness scan; block-backed
+    /// Validates the seeding input contract for `k` clusters (the
+    /// in-memory backend includes the upfront finiteness scan; block-backed
     /// backends defer it to their first full pass, which reports the
     /// same global `NonFiniteData` index).
     fn validate(&self, k: usize) -> Result<(), KMeansError>;
@@ -847,9 +843,8 @@ pub fn drive_label_pass(
 // ---------------------------------------------------------------------------
 
 /// [`RoundBackend`] over a resident [`PointMatrix`]: every primitive is
-/// the in-memory kernel it always was ([`CostTracker`],
-/// [`assign_and_sum`], [`potential`]), so the drivers reproduce the
-/// legacy in-memory entry points bit for bit.
+/// a resident in-memory kernel ([`CostTracker`], [`assign_and_sum`],
+/// [`potential`]) — the backend every in-memory fit runs on.
 pub struct InMemoryBackend<'a> {
     points: &'a PointMatrix,
     exec: &'a Executor,
@@ -1152,9 +1147,6 @@ impl RoundBackend for ChunkedBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::init::kmeans_parallel;
-    use crate::lloyd::lloyd;
-    use crate::minibatch::minibatch_kmeans;
     use kmeans_data::InMemorySource;
     use kmeans_par::Parallelism;
 
@@ -1172,16 +1164,17 @@ mod tests {
         InMemorySource::new(m.clone(), block_rows).unwrap()
     }
 
-    /// The wrappers route through the driver, so comparing the chunked
-    /// backend against the public in-memory entry points is the full
-    /// in-memory ≡ chunked equivalence.
+    /// Every in-memory fit runs the drivers on [`InMemoryBackend`], so
+    /// comparing the chunked backend against it is the full in-memory ≡
+    /// chunked equivalence.
     #[test]
     fn kmeans_parallel_is_bit_identical_across_backends() {
         let m = blobs(500);
         let config = KMeansParallelConfig::default();
         for threads in [Parallelism::Sequential, Parallelism::Threads(3)] {
             let exec = Executor::new(threads).with_shard_size(64);
-            let (ref_centers, ref_stats) = kmeans_parallel(&m, 5, &config, 42, &exec).unwrap();
+            let mut mem = InMemoryBackend::new(&m, &exec);
+            let (ref_centers, ref_stats) = drive_kmeans_parallel(&mut mem, 5, &config, 42).unwrap();
             for block_rows in [1, 13, 64, 500, 1000] {
                 let src = source(&m, block_rows);
                 let mut backend = ChunkedBackend::new(&src, &exec);
@@ -1204,7 +1197,8 @@ mod tests {
                 .oversampling_factor(0.1)
                 .rounds(1),
         ] {
-            let (ref_centers, _) = kmeans_parallel(&m, 20, &config, 9, &exec).unwrap();
+            let mut mem = InMemoryBackend::new(&m, &exec);
+            let (ref_centers, _) = drive_kmeans_parallel(&mut mem, 20, &config, 9).unwrap();
             let src = source(&m, 37);
             let mut backend = ChunkedBackend::new(&src, &exec);
             let (centers, _) = drive_kmeans_parallel(&mut backend, 20, &config, 9).unwrap();
@@ -1219,7 +1213,8 @@ mod tests {
         let init =
             PointMatrix::from_flat(vec![0.0, 0.0, -900.0, -900.0, -900.0, -900.0], 2).unwrap();
         let exec = Executor::new(Parallelism::Threads(3)).with_shard_size(32);
-        let reference = lloyd(&m, &init, &LloydConfig::default(), &exec).unwrap();
+        let mut mem = InMemoryBackend::new(&m, &exec);
+        let reference = drive_lloyd(&mut mem, &init, &LloydConfig::default()).unwrap();
         assert!(reference.history[0].reseeded >= 1, "setup must reseed");
         for block_rows in [11, 128, 400] {
             let src = source(&m, block_rows);
@@ -1242,8 +1237,9 @@ mod tests {
             batch_size: 64,
             iterations: 30,
         };
-        let reference = minibatch_kmeans(&m, &init, &config, 9).unwrap();
         let exec = Executor::sequential();
+        let mut mem = InMemoryBackend::new(&m, &exec);
+        let (reference, _) = drive_minibatch(&mut mem, &init, &config, 9).unwrap();
         for block_rows in [23, 100, 600] {
             let src = source(&m, block_rows);
             let mut backend = ChunkedBackend::new(&src, &exec);

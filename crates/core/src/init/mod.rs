@@ -16,7 +16,7 @@ mod random;
 pub use afkmc2::afk_mc2;
 pub use kmeanspp::{kmeanspp, kmeanspp_chunked, weighted_kmeanspp};
 pub use parallel::{
-    bernoulli_accept, exact_sample_keys, exact_sample_merge, kmeans_parallel, sample_bernoulli,
+    bernoulli_accept, exact_sample_keys, exact_sample_merge, sample_bernoulli,
     sample_bernoulli_prescreen, KMeansParallelConfig, Oversampling, Recluster, Rounds,
     SamplingMode, TopUp,
 };
@@ -24,7 +24,6 @@ pub use random::random_init;
 
 use crate::error::KMeansError;
 use kmeans_data::PointMatrix;
-use kmeans_par::Executor;
 use std::time::Duration;
 
 /// Accounting for one initialization run.
@@ -56,115 +55,6 @@ pub struct InitResult {
     pub stats: InitStats,
 }
 
-/// Initialization method selector for the [`KMeans`](crate::model::KMeans)
-/// pipeline.
-#[derive(Clone, Debug, PartialEq)]
-pub enum InitMethod {
-    /// `k` distinct points chosen uniformly at random — the classical
-    /// baseline.
-    Random,
-    /// Algorithm 1 of the paper (Arthur & Vassilvitskii 2007): sequential
-    /// D²-weighted seeding, `k` passes over the data.
-    KMeansPlusPlus,
-    /// Algorithm 2 of the paper: parallel oversampling + reclustering.
-    KMeansParallel(KMeansParallelConfig),
-}
-
-impl Default for InitMethod {
-    /// The paper's recommended setting: k-means|| with `ℓ = 2k`, `r = 5`.
-    fn default() -> Self {
-        InitMethod::KMeansParallel(KMeansParallelConfig::default())
-    }
-}
-
-impl InitMethod {
-    /// Runs the initializer, producing `k` centers and stats.
-    ///
-    /// The seed fully determines the outcome given the executor's shard
-    /// size (worker count never matters). Thin wrapper over the
-    /// [`Initializer`](crate::pipeline::Initializer) implementation, kept
-    /// for source compatibility with pre-pipeline call sites.
-    pub fn run(
-        &self,
-        points: &PointMatrix,
-        k: usize,
-        seed: u64,
-        exec: &Executor,
-    ) -> Result<InitResult, KMeansError> {
-        crate::pipeline::Initializer::init(self, points, None, k, seed, exec)
-    }
-}
-
-impl crate::pipeline::Initializer for InitMethod {
-    fn name(&self) -> &'static str {
-        match self {
-            InitMethod::Random => "random",
-            InitMethod::KMeansPlusPlus => "kmeans++",
-            InitMethod::KMeansParallel(_) => "kmeans-par",
-        }
-    }
-
-    fn init(
-        &self,
-        points: &PointMatrix,
-        weights: Option<&[f64]>,
-        k: usize,
-        seed: u64,
-        exec: &Executor,
-    ) -> Result<InitResult, KMeansError> {
-        match self {
-            InitMethod::Random => crate::pipeline::Random.init(points, weights, k, seed, exec),
-            InitMethod::KMeansPlusPlus => {
-                crate::pipeline::KMeansPlusPlus.init(points, weights, k, seed, exec)
-            }
-            InitMethod::KMeansParallel(config) => {
-                crate::pipeline::KMeansParallel(*config).init(points, weights, k, seed, exec)
-            }
-        }
-    }
-
-    fn init_backend(
-        &self,
-        backend: &mut dyn crate::driver::RoundBackend,
-        k: usize,
-        seed: u64,
-    ) -> Result<InitResult, KMeansError> {
-        match self {
-            InitMethod::Random => crate::pipeline::Random.init_backend(backend, k, seed),
-            InitMethod::KMeansPlusPlus => {
-                crate::pipeline::KMeansPlusPlus.init_backend(backend, k, seed)
-            }
-            InitMethod::KMeansParallel(config) => {
-                crate::pipeline::KMeansParallel(*config).init_backend(backend, k, seed)
-            }
-        }
-    }
-
-    fn supports_backend(&self, kind: crate::driver::BackendKind) -> bool {
-        match self {
-            InitMethod::Random => {
-                crate::pipeline::Initializer::supports_backend(&crate::pipeline::Random, kind)
-            }
-            InitMethod::KMeansPlusPlus => crate::pipeline::Initializer::supports_backend(
-                &crate::pipeline::KMeansPlusPlus,
-                kind,
-            ),
-            InitMethod::KMeansParallel(config) => crate::pipeline::Initializer::supports_backend(
-                &crate::pipeline::KMeansParallel(*config),
-                kind,
-            ),
-        }
-    }
-}
-
-impl From<InitMethod> for Box<dyn crate::pipeline::Initializer> {
-    /// The enum stays a thin selector: any variant converts into the
-    /// equivalent boxed trait object.
-    fn from(method: InitMethod) -> Self {
-        Box::new(method)
-    }
-}
-
 /// Common parameter validation for all initializers: shape checks plus a
 /// full finiteness scan (NaN/∞ coordinates would silently poison every
 /// distance downstream; one O(n·d) scan up front is cheap relative to any
@@ -190,6 +80,8 @@ pub fn validate(points: &PointMatrix, k: usize) -> Result<(), KMeansError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{Initializer, KMeansParallel, KMeansPlusPlus, Random};
+    use kmeans_par::Executor;
 
     fn line_points(n: usize) -> PointMatrix {
         PointMatrix::from_flat((0..n).map(|i| i as f64).collect(), 1).unwrap()
@@ -199,12 +91,9 @@ mod tests {
     fn all_methods_return_k_centers_and_stats() {
         let points = line_points(300);
         let exec = Executor::sequential().with_shard_size(64);
-        for method in [
-            InitMethod::Random,
-            InitMethod::KMeansPlusPlus,
-            InitMethod::KMeansParallel(KMeansParallelConfig::default()),
-        ] {
-            let result = method.run(&points, 10, 7, &exec).unwrap();
+        let methods: [&dyn Initializer; 3] = [&Random, &KMeansPlusPlus, &KMeansParallel::default()];
+        for method in methods {
+            let result = method.init(&points, None, 10, 7, &exec).unwrap();
             assert_eq!(result.centers.len(), 10, "{method:?}");
             assert_eq!(result.centers.dim(), 1);
             assert!(result.stats.seed_cost > 0.0, "{method:?}");
@@ -217,13 +106,13 @@ mod tests {
     fn pass_accounting_matches_paper_narrative() {
         let points = line_points(200);
         let exec = Executor::sequential();
-        let r = InitMethod::Random.run(&points, 8, 1, &exec).unwrap();
+        let r = Random.init(&points, None, 8, 1, &exec).unwrap();
         assert_eq!(r.stats.passes, 1);
-        let pp = InitMethod::KMeansPlusPlus
-            .run(&points, 8, 1, &exec)
-            .unwrap();
+        let pp = KMeansPlusPlus.init(&points, None, 8, 1, &exec).unwrap();
         assert_eq!(pp.stats.passes, 8); // k passes
-        let par = InitMethod::default().run(&points, 8, 1, &exec).unwrap();
+        let par = KMeansParallel::default()
+            .init(&points, None, 8, 1, &exec)
+            .unwrap();
         // 1 initial pass + r rounds (default 5).
         assert_eq!(par.stats.passes, 6);
         assert!(par.stats.passes < pp.stats.passes);
@@ -233,18 +122,19 @@ mod tests {
     fn invalid_k_is_rejected() {
         let points = line_points(5);
         let exec = Executor::sequential();
-        for method in [InitMethod::Random, InitMethod::KMeansPlusPlus] {
+        let methods: [&dyn Initializer; 2] = [&Random, &KMeansPlusPlus];
+        for method in methods {
             assert!(matches!(
-                method.run(&points, 0, 0, &exec),
+                method.init(&points, None, 0, 0, &exec),
                 Err(KMeansError::InvalidK { .. })
             ));
             assert!(matches!(
-                method.run(&points, 6, 0, &exec),
+                method.init(&points, None, 6, 0, &exec),
                 Err(KMeansError::InvalidK { .. })
             ));
         }
         assert!(matches!(
-            InitMethod::default().run(&PointMatrix::new(2), 1, 0, &exec),
+            KMeansParallel::default().init(&PointMatrix::new(2), None, 1, 0, &exec),
             Err(KMeansError::EmptyInput)
         ));
     }
@@ -254,7 +144,9 @@ mod tests {
         let exec = Executor::sequential();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let points = PointMatrix::from_flat(vec![0.0, 1.0, 2.0, bad, 4.0, 5.0], 2).unwrap();
-            let err = InitMethod::default().run(&points, 2, 0, &exec).unwrap_err();
+            let err = KMeansParallel::default()
+                .init(&points, None, 2, 0, &exec)
+                .unwrap_err();
             assert_eq!(
                 err,
                 KMeansError::NonFiniteData { point: 1, dim: 1 },
@@ -275,15 +167,15 @@ mod tests {
             }
         }
         let exec = Executor::sequential();
-        let median_cost = |method: &InitMethod| {
+        let median_cost = |method: &dyn Initializer| {
             let costs: Vec<f64> = (0..11)
-                .map(|s| method.run(&m, 3, s, &exec).unwrap().stats.seed_cost)
+                .map(|s| method.init(&m, None, 3, s, &exec).unwrap().stats.seed_cost)
                 .collect();
             kmeans_util::stats::median(&costs).unwrap()
         };
-        let random = median_cost(&InitMethod::Random);
-        let pp = median_cost(&InitMethod::KMeansPlusPlus);
-        let par = median_cost(&InitMethod::default());
+        let random = median_cost(&Random);
+        let pp = median_cost(&KMeansPlusPlus);
+        let par = median_cost(&KMeansParallel::default());
         // A blob missed by Random costs ~50 · 1000² = 5·10⁷; D² methods
         // land all three blobs, leaving only within-blob spread (≤ ~13).
         assert!(pp < 50.0, "k-means++ seed cost {pp}");

@@ -34,8 +34,6 @@
 //! histogram instead of a full `O(n·|C|·d)` pass — see DESIGN.md §4.
 
 use crate::error::KMeansError;
-use crate::init::InitStats;
-use kmeans_data::PointMatrix;
 use kmeans_par::Executor;
 use kmeans_util::Rng;
 
@@ -203,28 +201,6 @@ impl KMeansParallelConfig {
     }
 }
 
-/// Runs Algorithm 2, returning `k` centers plus accounting.
-///
-/// Determinism: the outcome is a pure function of
-/// `(points, k, config, seed, executor shard size)` — the worker count
-/// never changes the result.
-///
-/// Thin wrapper over the backend-generic
-/// [`drive_kmeans_parallel`](crate::driver::drive_kmeans_parallel) on an
-/// [`InMemoryBackend`](crate::driver::InMemoryBackend): the round logic
-/// exists once, shared bit-for-bit with the chunked and distributed
-/// execution modes.
-pub fn kmeans_parallel(
-    points: &PointMatrix,
-    k: usize,
-    config: &KMeansParallelConfig,
-    seed: u64,
-    exec: &Executor,
-) -> Result<(PointMatrix, InitStats), KMeansError> {
-    let mut backend = crate::driver::InMemoryBackend::new(points, exec);
-    crate::driver::drive_kmeans_parallel(&mut backend, k, config, seed)
-}
-
 /// The Step 4 acceptance predicate: accept the uniform draw `u` iff
 /// `u < ℓ·d²/φ` (with `ℓ·d² > 0` gating whether a draw happens at all).
 /// One expression shared by the single-node sampler, the worker-side
@@ -351,7 +327,20 @@ pub fn exact_sample_merge(mut entries: Vec<(f64, usize)>, m: usize) -> Vec<usize
 mod tests {
     use super::*;
     use crate::cost::potential;
+    use crate::driver::{drive_kmeans_parallel, InMemoryBackend};
+    use crate::init::InitStats;
+    use kmeans_data::PointMatrix;
     use kmeans_par::Parallelism;
+
+    fn seed_parallel(
+        points: &PointMatrix,
+        k: usize,
+        config: &KMeansParallelConfig,
+        seed: u64,
+        exec: &Executor,
+    ) -> Result<(PointMatrix, InitStats), KMeansError> {
+        drive_kmeans_parallel(&mut InMemoryBackend::new(points, exec), k, config, seed)
+    }
 
     fn blobs(n_per: usize, centers: &[f64]) -> PointMatrix {
         let mut m = PointMatrix::new(1);
@@ -370,7 +359,7 @@ mod tests {
         let config = KMeansParallelConfig::default();
         let mut good = 0;
         for seed in 0..10 {
-            let (centers, stats) = kmeans_parallel(&points, 5, &config, seed, &exec).unwrap();
+            let (centers, stats) = seed_parallel(&points, 5, &config, seed, &exec).unwrap();
             assert_eq!(centers.len(), 5);
             assert_eq!(stats.rounds, 5);
             assert_eq!(stats.passes, 6);
@@ -388,7 +377,7 @@ mod tests {
         let points = blobs(400, &[0.0, 100.0, 200.0, 300.0, 400.0]);
         let exec = Executor::sequential().with_shard_size(128);
         let config = KMeansParallelConfig::default(); // ℓ = 2k, r = 5
-        let (_, stats) = kmeans_parallel(&points, 10, &config, 3, &exec).unwrap();
+        let (_, stats) = seed_parallel(&points, 10, &config, 3, &exec).unwrap();
         assert!(
             stats.candidates > 40 && stats.candidates < 180,
             "candidates {} far from ℓ·r = 100",
@@ -404,7 +393,7 @@ mod tests {
             .sampling(SamplingMode::ExactL)
             .oversampling_factor(2.0)
             .rounds(4);
-        let (_, stats) = kmeans_parallel(&points, 5, &config, 7, &exec).unwrap();
+        let (_, stats) = seed_parallel(&points, 5, &config, 7, &exec).unwrap();
         // 1 first center + 4 rounds × exactly 10 = 41 candidates.
         assert_eq!(stats.candidates, 41);
     }
@@ -415,7 +404,7 @@ mod tests {
         let config = KMeansParallelConfig::default();
         let run = |threads: Parallelism| {
             let exec = Executor::new(threads).with_shard_size(64);
-            kmeans_parallel(&points, 6, &config, 42, &exec).unwrap()
+            seed_parallel(&points, 6, &config, 42, &exec).unwrap()
         };
         let (ref_centers, ref_stats) = run(Parallelism::Sequential);
         for t in [2, 3, 8] {
@@ -431,7 +420,7 @@ mod tests {
         let config = KMeansParallelConfig::default().sampling(SamplingMode::ExactL);
         let run = |threads: Parallelism| {
             let exec = Executor::new(threads).with_shard_size(64);
-            kmeans_parallel(&points, 6, &config, 42, &exec).unwrap().0
+            seed_parallel(&points, 6, &config, 42, &exec).unwrap().0
         };
         let reference = run(Parallelism::Sequential);
         assert_eq!(run(Parallelism::Threads(2)), reference);
@@ -447,7 +436,7 @@ mod tests {
         let config = KMeansParallelConfig::default()
             .oversampling_factor(0.1)
             .rounds(1);
-        let (centers, stats) = kmeans_parallel(&points, 50, &config, 5, &exec).unwrap();
+        let (centers, stats) = seed_parallel(&points, 50, &config, 5, &exec).unwrap();
         assert_eq!(centers.len(), 50);
         assert!(stats.candidates >= 50);
     }
@@ -474,7 +463,7 @@ mod tests {
                         .oversampling_factor(0.05)
                         .rounds(1)
                         .topup(policy);
-                    let (c, _) = kmeans_parallel(&m, 20, &config, s, &exec).unwrap();
+                    let (c, _) = seed_parallel(&m, 20, &config, s, &exec).unwrap();
                     potential(&m, &c, &exec)
                 })
                 .collect();
@@ -493,7 +482,7 @@ mod tests {
         let points = PointMatrix::from_flat(vec![3.0; 40], 1).unwrap();
         let exec = Executor::sequential();
         let (centers, _) =
-            kmeans_parallel(&points, 4, &KMeansParallelConfig::default(), 1, &exec).unwrap();
+            seed_parallel(&points, 4, &KMeansParallelConfig::default(), 1, &exec).unwrap();
         assert_eq!(centers.len(), 4);
     }
 
@@ -502,7 +491,7 @@ mod tests {
         let points = blobs(20, &[0.0, 5.0]);
         let exec = Executor::sequential();
         let (centers, _) =
-            kmeans_parallel(&points, 1, &KMeansParallelConfig::default(), 2, &exec).unwrap();
+            seed_parallel(&points, 1, &KMeansParallelConfig::default(), 2, &exec).unwrap();
         assert_eq!(centers.len(), 1);
     }
 
@@ -514,7 +503,7 @@ mod tests {
             rounds: Rounds::LogPsi { cap: 8 },
             ..Default::default()
         };
-        let (_, stats) = kmeans_parallel(&points, 4, &config, 3, &exec).unwrap();
+        let (_, stats) = seed_parallel(&points, 4, &config, 3, &exec).unwrap();
         // ψ ≈ 50 · (1e6)² = 5·10¹³ → ln ≈ 31.5 → capped at 8.
         assert_eq!(stats.rounds, 8);
     }
@@ -526,7 +515,7 @@ mod tests {
         let points = PointMatrix::from_flat(vec![0.0, 0.0, 9.0, 9.0], 1).unwrap();
         let exec = Executor::sequential();
         let config = KMeansParallelConfig::default().rounds(50);
-        let (centers, stats) = kmeans_parallel(&points, 2, &config, 4, &exec).unwrap();
+        let (centers, stats) = seed_parallel(&points, 2, &config, 4, &exec).unwrap();
         assert_eq!(centers.len(), 2);
         assert!(stats.rounds < 50, "did not stop early: {}", stats.rounds);
         assert_eq!(potential(&points, &centers, &exec), 0.0);
@@ -544,7 +533,7 @@ mod tests {
             Recluster::Uniform,
         ] {
             let config = KMeansParallelConfig::default().recluster(recluster);
-            let (centers, _) = kmeans_parallel(&points, 3, &config, 6, &exec).unwrap();
+            let (centers, _) = seed_parallel(&points, 3, &config, 6, &exec).unwrap();
             assert_eq!(centers.len(), 3, "{recluster:?}");
         }
     }
@@ -570,7 +559,7 @@ mod tests {
                     let config = KMeansParallelConfig::default()
                         .oversampling_factor(5.0)
                         .recluster(recluster);
-                    let (c, _) = kmeans_parallel(&m, 3, &config, s, &exec).unwrap();
+                    let (c, _) = seed_parallel(&m, 3, &config, s, &exec).unwrap();
                     potential(&m, &c, &exec)
                 })
                 .collect();
@@ -589,14 +578,14 @@ mod tests {
         let points = blobs(10, &[0.0]);
         let exec = Executor::sequential();
         let bad_l = KMeansParallelConfig::default().oversampling_factor(0.0);
-        assert!(kmeans_parallel(&points, 2, &bad_l, 0, &exec).is_err());
+        assert!(seed_parallel(&points, 2, &bad_l, 0, &exec).is_err());
         let bad_r = KMeansParallelConfig::default().rounds(0);
-        assert!(kmeans_parallel(&points, 2, &bad_r, 0, &exec).is_err());
+        assert!(seed_parallel(&points, 2, &bad_r, 0, &exec).is_err());
         let bad_abs = KMeansParallelConfig {
             oversampling: Oversampling::Absolute(f64::NAN),
             ..Default::default()
         };
-        assert!(kmeans_parallel(&points, 2, &bad_abs, 0, &exec).is_err());
+        assert!(seed_parallel(&points, 2, &bad_abs, 0, &exec).is_err());
     }
 
     #[test]

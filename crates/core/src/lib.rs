@@ -3,8 +3,8 @@
 //! *"Scalable K-Means++"*, PVLDB 5(7), 2012.
 //!
 //! k-means++ seeding gives provably good initial centers but needs `k`
-//! sequential passes over the data. **k-means||** ([`init::kmeans_parallel`])
-//! replaces them with `r ≈ 5` rounds that each sample `ℓ = Θ(k)` points in
+//! sequential passes over the data. **k-means||**
+//! ([`pipeline::KMeansParallel`]) replaces them with `r ≈ 5` rounds that each sample `ℓ = Θ(k)` points in
 //! parallel with probability `ℓ·d²(x,C)/φ_X(C)`, then reclusters the
 //! weighted `O(ℓ·r)` candidates down to `k` with weighted k-means++
 //! (Theorem 1: an O(α)-approximation when an α-approximate reclusterer is
@@ -38,8 +38,7 @@
 //!   traits from `kmeans-streaming`.
 //! * [`init`] — the seeding algorithms themselves: `Random`, `k-means++`
 //!   (Algorithm 1), **`k-means||`** (Algorithm 2) with every knob the
-//!   paper's §5 sweeps, plus AFK-MC². [`init::InitMethod`] survives as a
-//!   thin enum that converts `Into<Box<dyn pipeline::Initializer>>`.
+//!   paper's §5 sweeps, plus AFK-MC².
 //! * [`lloyd`] — Lloyd's iteration (parallel, with iteration accounting
 //!   and empty-cluster repair) and the weighted variant used by Step 8.
 //! * [`accel`] — Hamerly's bounds-accelerated Lloyd (exact, fewer
@@ -48,7 +47,14 @@
 //!   reference \[31]).
 //! * [`metrics`] — purity / NMI against ground-truth labels.
 //! * [`model`] — the [`model::KMeans`] builder tying it all together:
-//!   `.init(…)`, `.refine(…)`, `.weights(…)`, `.parallelism(…)`.
+//!   `.init(…)`, `.refine(…)`, `.weights(…)`, `.parallelism(…)`. It is
+//!   the one public way to start a fit. In-memory `fit`, `fit_chunked`
+//!   and `kmeans-cluster`'s `fit_distributed` all run
+//!   [`model::KMeans::fit_round_backend`], on an in-memory, chunked or
+//!   cluster backend; only weighted fits and stages without a round form
+//!   (k-means++, AFK-MC², Hamerly, the streaming seeders) call the
+//!   stages' own in-memory `init`/`refine`. Tracing never selects the
+//!   path: an enabled recorder only wraps the backend.
 //!
 //! Determinism: every algorithm is a pure function of its inputs, a 64-bit
 //! seed, and the executor's shard size. Worker counts never change results
@@ -94,8 +100,8 @@ pub mod pipeline;
 pub mod record;
 
 pub use error::KMeansError;
-pub use init::{InitMethod, InitResult, InitStats, KMeansParallelConfig};
+pub use init::{InitResult, InitStats, KMeansParallelConfig};
 pub use lloyd::{LloydConfig, LloydResult};
-pub use model::{KMeans, KMeansModel, ModelParts, PreparedPredictor};
+pub use model::{KMeans, KMeansModel, PreparedPredictor};
 pub use pipeline::{Initializer, RefineResult, Refiner};
 pub use record::RecordingBackend;

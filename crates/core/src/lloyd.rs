@@ -16,7 +16,6 @@
 use crate::assign::assign_weighted;
 use crate::error::KMeansError;
 use kmeans_data::PointMatrix;
-use kmeans_par::Executor;
 
 /// Configuration of the Lloyd loop.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -125,27 +124,6 @@ pub(crate) fn validate_refine_inputs(
     Ok(())
 }
 
-/// Runs Lloyd's iteration from the given initial centers.
-///
-/// Thin wrapper over the backend-generic
-/// [`drive_lloyd`](crate::driver::drive_lloyd) on an
-/// [`InMemoryBackend`](crate::driver::InMemoryBackend): the
-/// assignment/update round loop exists once, shared bit-for-bit with the
-/// chunked and distributed execution modes.
-///
-/// # Errors
-///
-/// Fails on empty input, dimension mismatch, or invalid configuration.
-pub fn lloyd(
-    points: &PointMatrix,
-    initial_centers: &PointMatrix,
-    config: &LloydConfig,
-    exec: &Executor,
-) -> Result<LloydResult, KMeansError> {
-    let mut backend = crate::driver::InMemoryBackend::new(points, exec);
-    crate::driver::drive_lloyd(&mut backend, initial_centers, config)
-}
-
 /// Weighted Lloyd iterations on a (small) weighted point set — used to
 /// refine the Step 8 reclustering of k-means|| and by the streaming
 /// baselines. Sequential; stops early on assignment stability. Empty
@@ -234,7 +212,21 @@ pub fn weighted_lloyd_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kmeans_par::Parallelism;
+    use crate::driver::{drive_lloyd, InMemoryBackend};
+    use kmeans_par::{Executor, Parallelism};
+
+    fn run_lloyd(
+        points: &PointMatrix,
+        initial_centers: &PointMatrix,
+        config: &LloydConfig,
+        exec: &Executor,
+    ) -> Result<LloydResult, KMeansError> {
+        drive_lloyd(
+            &mut InMemoryBackend::new(points, exec),
+            initial_centers,
+            config,
+        )
+    }
 
     fn blobs_2d() -> PointMatrix {
         // Two 2-D blobs around (0,0) and (10,10), 16 points each.
@@ -256,7 +248,7 @@ mod tests {
     fn converges_to_blob_centroids() {
         let points = blobs_2d();
         let init = PointMatrix::from_flat(vec![1.0, 1.0, 9.0, 9.0], 2).unwrap();
-        let result = lloyd(
+        let result = run_lloyd(
             &points,
             &init,
             &LloydConfig::default(),
@@ -285,7 +277,7 @@ mod tests {
         let points = blobs_2d();
         // Bad init: both centers in one blob.
         let init = PointMatrix::from_flat(vec![0.0, 0.0, 0.3, 0.3], 2).unwrap();
-        let result = lloyd(
+        let result = run_lloyd(
             &points,
             &init,
             &LloydConfig::default(),
@@ -311,7 +303,7 @@ mod tests {
             max_iterations: 1,
             tol: 0.0,
         };
-        let result = lloyd(&points, &init, &config, &Executor::sequential()).unwrap();
+        let result = run_lloyd(&points, &init, &config, &Executor::sequential()).unwrap();
         assert_eq!(result.iterations, 1);
         assert!(!result.converged);
     }
@@ -324,7 +316,7 @@ mod tests {
             max_iterations: 100,
             tol: 0.5, // huge tolerance: stop after the first update
         };
-        let result = lloyd(&points, &init, &config, &Executor::sequential()).unwrap();
+        let result = run_lloyd(&points, &init, &config, &Executor::sequential()).unwrap();
         assert!(result.converged);
         assert!(result.iterations <= 2);
     }
@@ -341,7 +333,7 @@ mod tests {
             tol: 1.0, // always triggers after the first update
         };
         let exec = Executor::sequential();
-        let result = lloyd(&points, &init, &config, &exec).unwrap();
+        let result = run_lloyd(&points, &init, &config, &exec).unwrap();
         assert!(result.converged);
         let (expected_labels, sums) =
             crate::assign::assign_and_sum(&points, &result.centers, &exec);
@@ -360,7 +352,7 @@ mod tests {
     fn stable_exit_needs_no_closing_pass() {
         let points = blobs_2d();
         let init = PointMatrix::from_flat(vec![1.0, 1.0, 9.0, 9.0], 2).unwrap();
-        let result = lloyd(
+        let result = run_lloyd(
             &points,
             &init,
             &LloydConfig::default(),
@@ -396,7 +388,7 @@ mod tests {
         // one will be empty initially.
         let init =
             PointMatrix::from_flat(vec![0.0, 0.0, -500.0, -500.0, -500.0, -500.0], 2).unwrap();
-        let result = lloyd(
+        let result = run_lloyd(
             &points,
             &init,
             &LloydConfig::default(),
@@ -418,7 +410,7 @@ mod tests {
         let points = blobs_2d();
         let init = PointMatrix::from_flat(vec![0.0, 0.0, 0.3, 0.3], 2).unwrap();
         let run = |par: Parallelism| {
-            lloyd(
+            run_lloyd(
                 &points,
                 &init,
                 &LloydConfig::default(),
@@ -442,24 +434,24 @@ mod tests {
         let init = PointMatrix::from_flat(vec![0.0, 0.0], 2).unwrap();
         let exec = Executor::sequential();
         assert!(matches!(
-            lloyd(&PointMatrix::new(2), &init, &LloydConfig::default(), &exec),
+            run_lloyd(&PointMatrix::new(2), &init, &LloydConfig::default(), &exec),
             Err(KMeansError::EmptyInput)
         ));
         let bad_dim = PointMatrix::from_flat(vec![0.0], 1).unwrap();
         assert!(matches!(
-            lloyd(&points, &bad_dim, &LloydConfig::default(), &exec),
+            run_lloyd(&points, &bad_dim, &LloydConfig::default(), &exec),
             Err(KMeansError::DimensionMismatch { .. })
         ));
         let bad_config = LloydConfig {
             max_iterations: 0,
             tol: 0.0,
         };
-        assert!(lloyd(&points, &init, &bad_config, &exec).is_err());
+        assert!(run_lloyd(&points, &init, &bad_config, &exec).is_err());
         let bad_tol = LloydConfig {
             max_iterations: 1,
             tol: -1.0,
         };
-        assert!(lloyd(&points, &init, &bad_tol, &exec).is_err());
+        assert!(run_lloyd(&points, &init, &bad_tol, &exec).is_err());
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! It pairs naturally with k-means|| seeding: the seeding pays a handful of
 //! full passes to place the centers well, after which mini-batch steps
 //! refine them touching only `O(batch · iters)` points.
-
-use crate::error::KMeansError;
-use crate::kernel::KernelStats;
-use kmeans_data::PointMatrix;
+//!
+//! The step loop is [`drive_minibatch`](crate::driver::drive_minibatch),
+//! shared by every backend; the
+//! [`MiniBatch`](crate::pipeline::MiniBatch) refiner runs it.
 
 /// Configuration for mini-batch refinement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,50 +34,26 @@ impl Default for MiniBatchConfig {
     }
 }
 
-/// Runs mini-batch k-means from the given initial centers.
-///
-/// Returns the refined centers. Deterministic per seed.
-///
-/// # Errors
-///
-/// Fails on empty input, mismatched dimensions, or a zero batch/iteration
-/// configuration.
-pub fn minibatch_kmeans(
-    points: &PointMatrix,
-    initial_centers: &PointMatrix,
-    config: &MiniBatchConfig,
-    seed: u64,
-) -> Result<PointMatrix, KMeansError> {
-    Ok(minibatch_kmeans_traced(points, initial_centers, config, seed)?.0)
-}
-
-/// [`minibatch_kmeans`] with kernel work accounting: also returns the
-/// batch-assignment [`KernelStats`] accumulated across all steps (the
-/// centers are bit-identical to the plain entry point's).
-///
-/// Thin wrapper over the backend-generic
-/// [`drive_minibatch`](crate::driver::drive_minibatch) on an
-/// [`InMemoryBackend`](crate::driver::InMemoryBackend): the step loop
-/// exists once, shared bit-for-bit with the chunked and distributed
-/// execution modes. (The executor is irrelevant here — mini-batch work
-/// is batch-sized and sequential by design.)
-pub fn minibatch_kmeans_traced(
-    points: &PointMatrix,
-    initial_centers: &PointMatrix,
-    config: &MiniBatchConfig,
-    seed: u64,
-) -> Result<(PointMatrix, KernelStats), KMeansError> {
-    let exec = kmeans_par::Executor::sequential();
-    let mut backend = crate::driver::InMemoryBackend::new(points, &exec);
-    crate::driver::drive_minibatch(&mut backend, initial_centers, config, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::potential;
+    use crate::driver::{drive_minibatch, InMemoryBackend};
+    use crate::error::KMeansError;
+    use kmeans_data::PointMatrix;
     use kmeans_par::Executor;
     use kmeans_util::Rng;
+
+    fn minibatch(
+        points: &PointMatrix,
+        initial_centers: &PointMatrix,
+        config: &MiniBatchConfig,
+        seed: u64,
+    ) -> Result<PointMatrix, KMeansError> {
+        let exec = Executor::sequential();
+        let mut backend = InMemoryBackend::new(points, &exec);
+        Ok(drive_minibatch(&mut backend, initial_centers, config, seed)?.0)
+    }
 
     fn blobs() -> PointMatrix {
         let mut m = PointMatrix::new(1);
@@ -96,7 +72,7 @@ mod tests {
         let init = PointMatrix::from_flat(vec![40.0, 50.0, 60.0], 1).unwrap();
         let exec = Executor::sequential();
         let before = potential(&points, &init, &exec);
-        let refined = minibatch_kmeans(
+        let refined = minibatch(
             &points,
             &init,
             &MiniBatchConfig {
@@ -117,7 +93,7 @@ mod tests {
     fn approaches_true_centers_on_separated_blobs() {
         let points = blobs();
         let init = PointMatrix::from_flat(vec![10.0, 110.0, 190.0], 1).unwrap();
-        let refined = minibatch_kmeans(&points, &init, &MiniBatchConfig::default(), 3).unwrap();
+        let refined = minibatch(&points, &init, &MiniBatchConfig::default(), 3).unwrap();
         let mut got: Vec<f64> = refined.rows().map(|r| r[0]).collect();
         got.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for (g, t) in got.iter().zip([0.0, 100.0, 200.0]) {
@@ -129,10 +105,10 @@ mod tests {
     fn deterministic_per_seed() {
         let points = blobs();
         let init = PointMatrix::from_flat(vec![0.0, 100.0, 200.0], 1).unwrap();
-        let a = minibatch_kmeans(&points, &init, &MiniBatchConfig::default(), 5).unwrap();
-        let b = minibatch_kmeans(&points, &init, &MiniBatchConfig::default(), 5).unwrap();
+        let a = minibatch(&points, &init, &MiniBatchConfig::default(), 5).unwrap();
+        let b = minibatch(&points, &init, &MiniBatchConfig::default(), 5).unwrap();
         assert_eq!(a, b);
-        let c = minibatch_kmeans(&points, &init, &MiniBatchConfig::default(), 6).unwrap();
+        let c = minibatch(&points, &init, &MiniBatchConfig::default(), 6).unwrap();
         assert_ne!(a, c);
     }
 
@@ -140,17 +116,15 @@ mod tests {
     fn rejects_invalid_inputs() {
         let points = blobs();
         let init = PointMatrix::from_flat(vec![0.0], 1).unwrap();
-        assert!(
-            minibatch_kmeans(&PointMatrix::new(1), &init, &MiniBatchConfig::default(), 0).is_err()
-        );
+        assert!(minibatch(&PointMatrix::new(1), &init, &MiniBatchConfig::default(), 0).is_err());
         let bad = MiniBatchConfig {
             batch_size: 0,
             iterations: 1,
         };
-        assert!(minibatch_kmeans(&points, &init, &bad, 0).is_err());
+        assert!(minibatch(&points, &init, &bad, 0).is_err());
         let wrong_dim = PointMatrix::from_flat(vec![0.0, 0.0], 2).unwrap();
-        assert!(minibatch_kmeans(&points, &wrong_dim, &MiniBatchConfig::default(), 0).is_err());
-        assert!(minibatch_kmeans(
+        assert!(minibatch(&points, &wrong_dim, &MiniBatchConfig::default(), 0).is_err());
+        assert!(minibatch(
             &points,
             &PointMatrix::new(1),
             &MiniBatchConfig::default(),

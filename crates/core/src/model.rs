@@ -34,10 +34,12 @@
 
 use crate::driver::{BackendKind, ChunkedBackend, InMemoryBackend, RoundBackend};
 use crate::error::KMeansError;
-use crate::init::{InitMethod, InitStats};
+use crate::init::{InitResult, InitStats};
 use crate::kernel::{AssignKernel, KernelStats};
 use crate::lloyd::{IterationStats, LloydConfig};
-use crate::pipeline::{reject_backend, validate_weights, Initializer, Lloyd, Refiner};
+use crate::pipeline::{
+    reject_backend, validate_weights, Initializer, KMeansParallel, Lloyd, RefineResult, Refiner,
+};
 use crate::record::RecordingBackend;
 use kmeans_data::{ChunkedSource, ModelRecord, PointMatrix};
 use kmeans_obs::{arg_str, Recorder};
@@ -68,7 +70,7 @@ impl KMeans {
     pub fn params(k: usize) -> Self {
         KMeans {
             k,
-            init: Arc::new(InitMethod::default()),
+            init: Arc::new(KMeansParallel::default()),
             refiner: None,
             lloyd: LloydConfig::default(),
             lloyd_tuned: false,
@@ -82,8 +84,9 @@ impl KMeans {
     }
 
     /// Selects the initialization stage. Accepts any [`Initializer`] —
-    /// the [`InitMethod`] enum variants, the `kmeans_core::pipeline`
-    /// seeders, or the streaming adapters from `kmeans-streaming`.
+    /// the `kmeans_core::pipeline` seeders (`Random`, `KMeansPlusPlus`,
+    /// `KMeansParallel`, `AfkMc2`) or the streaming adapters from
+    /// `kmeans-streaming`.
     pub fn init<I: Initializer + 'static>(mut self, init: I) -> Self {
         self.init = Arc::new(init);
         self
@@ -180,13 +183,14 @@ impl KMeans {
         self
     }
 
-    /// Attaches a flight recorder. With an enabled recorder every fit —
-    /// in-memory, chunked, or distributed — records one span per round
-    /// primitive (round kind, wall time, wire bytes, kernel counters);
-    /// with the default disabled recorder the instrumentation costs one
-    /// branch per call. Recording never changes results: an instrumented
-    /// fit is bit-identical to an uninstrumented one (pinned by
-    /// `tests/obs_parity.rs`).
+    /// Attaches a flight recorder. With an enabled recorder every fit
+    /// that runs [`KMeans::fit_round_backend`] — in-memory, chunked, or
+    /// distributed — records one span per round primitive (round kind,
+    /// wall time, wire bytes, kernel counters), and every fit records its
+    /// two `stage:*` spans; with the default disabled recorder the
+    /// instrumentation costs one branch per call. Recording never changes
+    /// the path or the results: an instrumented fit is bit-identical to
+    /// an uninstrumented one (pinned by `tests/obs_parity.rs`).
     pub fn recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
@@ -198,8 +202,9 @@ impl KMeans {
     }
 
     /// Builds the executor this configuration implies. Public for
-    /// alternative fit frontends (the distributed coordinator), which need
-    /// the shard size — part of every run's reproducibility key.
+    /// `fit_distributed`, which needs the shard size — part of every
+    /// run's reproducibility key — to plan the cluster and key its
+    /// checkpoint journal.
     pub fn executor(&self) -> Executor {
         let exec = Executor::new(self.parallelism);
         match self.shard_size {
@@ -218,22 +223,10 @@ impl KMeans {
         self.seed
     }
 
-    /// Whether per-point weights were configured (weighted fits exist on
-    /// the in-memory path only; chunked and distributed frontends reject).
-    pub fn has_weights(&self) -> bool {
-        self.weights.is_some()
-    }
-
-    /// The configured initialization stage.
-    pub fn initializer(&self) -> &Arc<dyn Initializer> {
-        &self.init
-    }
-
     /// Resolves the refinement stage, rejecting Lloyd knobs combined with
     /// a custom refiner (silently ignoring them would leave e.g. an
-    /// "iteration-capped" study uncapped; fail loudly instead). Public for
-    /// alternative fit frontends, which must apply the same conflict rule.
-    pub fn resolve_refiner(&self) -> Result<Arc<dyn Refiner>, KMeansError> {
+    /// "iteration-capped" study uncapped; fail loudly instead).
+    fn resolve_refiner(&self) -> Result<Arc<dyn Refiner>, KMeansError> {
         match &self.refiner {
             Some(r) => {
                 if self.lloyd_tuned {
@@ -250,114 +243,57 @@ impl KMeans {
     }
 
     /// Runs initialization + refinement on `points`.
+    ///
+    /// An unweighted fit whose stages both have an in-memory round form
+    /// (`Random`/`KMeansParallel` seeding, `Lloyd`/`MiniBatch`/`NoRefine`
+    /// refinement) runs [`KMeans::fit_round_backend`] on an
+    /// [`InMemoryBackend`] — the body `fit_chunked` and `fit_distributed`
+    /// run too. Weighted fits and stages without a round form (k-means++,
+    /// AFK-MC², Hamerly, the streaming seeders) call the stages' own
+    /// `init`/`refine`. The recorder never selects the path.
     pub fn fit(&self, points: &PointMatrix) -> Result<KMeansModel, KMeansError> {
         let exec = self.executor();
         let weights = self.weights.as_deref();
         validate_weights(points, weights)?;
         let refiner = self.resolve_refiner()?;
-        // An enabled recorder routes through the backend-generic round
-        // drivers — bit-identical to the direct path (the driver layer's
-        // pinned parity contract) — so every round primitive gets its
-        // own span. Stages without an in-memory round realization
-        // (AFK-MC², Hamerly, k-means++) and weighted fits stay on the
-        // direct path and record coarse per-stage spans instead.
-        if self.recorder.is_enabled()
-            && weights.is_none()
+        if weights.is_none()
             && self.init.supports_backend(BackendKind::InMemory)
             && refiner.supports_backend(BackendKind::InMemory)
         {
-            let mut backend = InMemoryBackend::new(points, &exec);
-            return self.fit_round_backend(&mut backend);
+            return self.fit_round_backend(&mut InMemoryBackend::new(points, &exec));
         }
-        let start = self.recorder.start();
-        let init = self.init.init(points, weights, self.k, self.seed, &exec)?;
-        self.recorder.span(start, "stage:init", "fit", || {
-            vec![arg_str("stage", self.init.name())]
-        });
-        let start = self.recorder.start();
-        let result = refiner.refine(points, weights, &init.centers, self.seed, &exec)?;
-        self.recorder.span(start, "stage:refine", "fit", || {
-            vec![arg_str("stage", refiner.name())]
-        });
-        Ok(KMeansModel {
-            centers: result.centers,
-            labels: result.labels,
-            cost: result.cost,
-            init_stats: init.stats,
-            iterations: result.iterations,
-            converged: result.converged,
-            history: result.history,
-            distance_computations: result.distance_computations,
-            pruned_by_norm_bound: result.pruned_by_norm_bound,
-            init_name: self.init.name(),
-            refiner_name: refiner.name(),
-            executor: exec,
-        })
+        self.run_stages(
+            &mut (),
+            refiner.as_ref(),
+            |()| self.init.init(points, weights, self.k, self.seed, &exec),
+            |(), centers| refiner.refine(points, weights, centers, self.seed, &exec),
+        )
     }
 
     /// Runs initialization + refinement **out of core** on the configured
-    /// [`KMeans::data_source`]: every stage streams the source block by
-    /// block (one scan per k-means|| round / Lloyd iteration), so the
+    /// [`KMeans::data_source`]: [`KMeans::fit_round_backend`] on a
+    /// [`ChunkedBackend`], so every stage streams the source block by
+    /// block (one scan per k-means|| round / Lloyd iteration) and the
     /// feature payload never has to fit in memory. Results are
     /// bit-identical to [`KMeans::fit`] on the same data, seed, and
     /// executor for every stage with a chunked formulation; stages without
     /// one (AFK-MC², Hamerly) and weighted fits are rejected with a typed
-    /// error.
+    /// error before the source is read.
     pub fn fit_chunked(&self) -> Result<KMeansModel, KMeansError> {
         let source = self.source.clone().ok_or_else(|| {
             KMeansError::InvalidConfig(
                 "no data source configured; call .data_source(...) before .fit_chunked()".into(),
             )
         })?;
-        if self.weights.is_some() {
-            return Err(KMeansError::InvalidConfig(
-                "chunked fits do not support weighted input".into(),
-            ));
-        }
         let exec = self.executor();
-        let refiner = self.resolve_refiner()?;
-        // Same routing rule as `fit`: an enabled recorder runs the fit
-        // through the backend-generic drivers (bit-identical) so every
-        // block scan records a per-primitive span.
-        if self.recorder.is_enabled()
-            && self.init.supports_backend(BackendKind::Chunked)
-            && refiner.supports_backend(BackendKind::Chunked)
-        {
-            let mut backend = ChunkedBackend::new(source.as_ref(), &exec);
-            return self.fit_round_backend(&mut backend);
-        }
-        let start = self.recorder.start();
-        let init = self
-            .init
-            .init_chunked(source.as_ref(), self.k, self.seed, &exec)?;
-        self.recorder.span(start, "stage:init", "fit", || {
-            vec![arg_str("stage", self.init.name())]
-        });
-        let start = self.recorder.start();
-        let result = refiner.refine_chunked(source.as_ref(), &init.centers, self.seed, &exec)?;
-        self.recorder.span(start, "stage:refine", "fit", || {
-            vec![arg_str("stage", refiner.name())]
-        });
-        Ok(KMeansModel {
-            centers: result.centers,
-            labels: result.labels,
-            cost: result.cost,
-            init_stats: init.stats,
-            iterations: result.iterations,
-            converged: result.converged,
-            history: result.history,
-            distance_computations: result.distance_computations,
-            pruned_by_norm_bound: result.pruned_by_norm_bound,
-            init_name: self.init.name(),
-            refiner_name: refiner.name(),
-            executor: exec,
-        })
+        self.fit_round_backend(&mut ChunkedBackend::new(source.as_ref(), &exec))
     }
 
     /// Runs the standard init → refine pipeline over an explicit
-    /// [`RoundBackend`] — the shared fit engine behind [`KMeans::fit`] /
-    /// [`KMeans::fit_chunked`] when instrumented, and behind
-    /// `kmeans-cluster`'s distributed fit entry points.
+    /// [`RoundBackend`] — the one fit body behind [`KMeans::fit`] (on an
+    /// [`InMemoryBackend`]), [`KMeans::fit_chunked`] (on a
+    /// [`ChunkedBackend`]) and `kmeans-cluster`'s `fit_distributed` (on a
+    /// `ClusterBackend`).
     ///
     /// Both stages are capability-checked against the backend's
     /// [`BackendKind`] up front and rejected with the mode's typed error
@@ -384,7 +320,6 @@ impl KMeans {
         if !refiner.supports_backend(kind) {
             return Err(reject_backend(refiner.name(), kind));
         }
-        let exec = self.executor();
         let mut recorded;
         let backend: &mut dyn RoundBackend = if self.recorder.is_enabled() {
             recorded = RecordingBackend::new(backend, self.recorder.clone());
@@ -392,17 +327,36 @@ impl KMeans {
         } else {
             backend
         };
+        self.run_stages(
+            backend,
+            refiner.as_ref(),
+            |b| self.init.init_backend(b, self.k, self.seed),
+            |b, centers| refiner.refine_backend(b, centers, self.seed),
+        )
+    }
+
+    /// The init → refine body every fit runs: times each stage into a
+    /// `stage:*` span and assembles the model. `data` is what both stage
+    /// calls share — the round backend, or nothing when the stages run
+    /// their own in-memory `init`/`refine`.
+    fn run_stages<D: ?Sized>(
+        &self,
+        data: &mut D,
+        refiner: &dyn Refiner,
+        init: impl FnOnce(&mut D) -> Result<InitResult, KMeansError>,
+        refine: impl FnOnce(&mut D, &PointMatrix) -> Result<RefineResult, KMeansError>,
+    ) -> Result<KMeansModel, KMeansError> {
         let start = self.recorder.start();
-        let init = self.init.init_backend(backend, self.k, self.seed)?;
+        let init = init(data)?;
         self.recorder.span(start, "stage:init", "fit", || {
             vec![arg_str("stage", self.init.name())]
         });
         let start = self.recorder.start();
-        let result = refiner.refine_backend(backend, &init.centers, self.seed)?;
+        let result = refine(data, &init.centers)?;
         self.recorder.span(start, "stage:refine", "fit", || {
             vec![arg_str("stage", refiner.name())]
         });
-        Ok(KMeansModel::from_parts(ModelParts {
+        Ok(KMeansModel {
             centers: result.centers,
             labels: result.labels,
             cost: result.cost,
@@ -414,8 +368,8 @@ impl KMeans {
             pruned_by_norm_bound: result.pruned_by_norm_bound,
             init_name: self.init.name(),
             refiner_name: refiner.name(),
-            executor: exec,
-        }))
+            executor: self.executor(),
+        })
     }
 }
 
@@ -436,61 +390,7 @@ pub struct KMeansModel {
     executor: Executor,
 }
 
-/// The raw fields of a [`KMeansModel`], for alternative fit frontends
-/// (the distributed coordinator in `kmeans-cluster`) that run the same
-/// init→refine pipeline outside [`KMeans::fit`] but must hand back the
-/// standard model type.
-#[derive(Clone, Debug)]
-pub struct ModelParts {
-    /// Final centers (`k × d`).
-    pub centers: PointMatrix,
-    /// Final assignment, consistent with `centers`.
-    pub labels: Vec<u32>,
-    /// Final potential.
-    pub cost: f64,
-    /// Seeding accounting.
-    pub init_stats: InitStats,
-    /// Refinement iterations executed.
-    pub iterations: usize,
-    /// Whether the refiner converged.
-    pub converged: bool,
-    /// Per-iteration refinement history (may be empty).
-    pub history: Vec<IterationStats>,
-    /// Point-to-center distance evaluations spent by the refiner.
-    pub distance_computations: u64,
-    /// Candidates the assignment kernel skipped via its norm/coordinate
-    /// lower bounds — measured on every execution mode (distributed
-    /// workers ship their counters in the partials frames).
-    pub pruned_by_norm_bound: u64,
-    /// Stable name of the initializer.
-    pub init_name: &'static str,
-    /// Stable name of the refiner.
-    pub refiner_name: &'static str,
-    /// Executor `predict`/`cost_of` will reuse.
-    pub executor: Executor,
-}
-
 impl KMeansModel {
-    /// Assembles a model from explicitly computed parts (see
-    /// [`ModelParts`]). The caller is responsible for the fields being
-    /// mutually consistent — `labels`/`cost` must describe `centers`.
-    pub fn from_parts(parts: ModelParts) -> Self {
-        KMeansModel {
-            centers: parts.centers,
-            labels: parts.labels,
-            cost: parts.cost,
-            init_stats: parts.init_stats,
-            iterations: parts.iterations,
-            converged: parts.converged,
-            history: parts.history,
-            distance_computations: parts.distance_computations,
-            pruned_by_norm_bound: parts.pruned_by_norm_bound,
-            init_name: parts.init_name,
-            refiner_name: parts.refiner_name,
-            executor: parts.executor,
-        }
-    }
-
     /// The fitted centers (`k × d`).
     pub fn centers(&self) -> &PointMatrix {
         &self.centers
@@ -865,7 +765,7 @@ mod tests {
     use super::*;
     use crate::init::KMeansParallelConfig;
     use crate::minibatch::MiniBatchConfig;
-    use crate::pipeline::{AfkMc2, HamerlyLloyd, MiniBatch, NoRefine};
+    use crate::pipeline::{AfkMc2, HamerlyLloyd, KMeansPlusPlus, MiniBatch, NoRefine, Random};
 
     fn blobs() -> PointMatrix {
         let mut m = PointMatrix::new(2);
@@ -921,18 +821,17 @@ mod tests {
     #[test]
     fn all_init_methods_work_through_the_pipeline() {
         let points = blobs();
-        for init in [
-            InitMethod::Random,
-            InitMethod::KMeansPlusPlus,
-            InitMethod::KMeansParallel(KMeansParallelConfig::default()),
+        let base = KMeans::params(3)
+            .seed(11)
+            .parallelism(Parallelism::Sequential);
+        for builder in [
+            base.clone().init(Random),
+            base.clone().init(KMeansPlusPlus),
+            base.clone()
+                .init(KMeansParallel(KMeansParallelConfig::default())),
         ] {
-            let model = KMeans::params(3)
-                .init(init.clone())
-                .seed(11)
-                .parallelism(Parallelism::Sequential)
-                .fit(&points)
-                .unwrap();
-            assert_eq!(model.k(), 3, "{init:?}");
+            let model = builder.fit(&points).unwrap();
+            assert_eq!(model.k(), 3, "{}", model.init_name());
         }
     }
 
@@ -940,7 +839,7 @@ mod tests {
     fn refine_stage_is_swappable() {
         let points = blobs();
         let base = KMeans::params(3)
-            .init(InitMethod::KMeansPlusPlus)
+            .init(KMeansPlusPlus)
             .seed(8)
             .parallelism(Parallelism::Sequential);
         let lloyd = base.clone().fit(&points).unwrap();
@@ -1000,7 +899,7 @@ mod tests {
         let mut weights = vec![1.0; 50];
         weights.push(500.0);
         let model = KMeans::params(2)
-            .init(InitMethod::KMeansPlusPlus)
+            .init(KMeansPlusPlus)
             .weights(&weights)
             .seed(3)
             .parallelism(Parallelism::Sequential)
@@ -1208,7 +1107,7 @@ mod tests {
     fn max_iterations_and_tol_are_plumbed() {
         let points = blobs();
         let model = KMeans::params(3)
-            .init(InitMethod::Random)
+            .init(Random)
             .max_iterations(1)
             .seed(4)
             .parallelism(Parallelism::Sequential)

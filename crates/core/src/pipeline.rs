@@ -25,22 +25,20 @@
 //! weighted input with a typed error rather than silently ignoring it.
 
 use crate::accel::hamerly_lloyd;
-use crate::assign::{assign_and_sum, assign_weighted};
+use crate::assign::assign_weighted;
 use crate::cost::{potential, weighted_potential};
 use crate::driver::{
     drive_kmeans_parallel, drive_label_pass, drive_lloyd, drive_minibatch, drive_random_init,
-    finish_init_backend, BackendKind, ChunkedBackend, RoundBackend,
+    finish_init_backend, BackendKind, InMemoryBackend, RoundBackend,
 };
 use crate::error::KMeansError;
 use crate::init::{
-    afk_mc2, kmeans_parallel, kmeanspp, kmeanspp_chunked, random_init, validate, weighted_kmeanspp,
-    InitResult, InitStats, KMeansParallelConfig,
+    afk_mc2, kmeanspp, kmeanspp_chunked, validate, weighted_kmeanspp, InitResult, InitStats,
+    KMeansParallelConfig,
 };
-use crate::lloyd::{
-    lloyd, validate_refine_inputs, weighted_lloyd_traced, IterationStats, LloydConfig,
-};
-use crate::minibatch::{minibatch_kmeans_traced, MiniBatchConfig};
-use kmeans_data::{ChunkedSource, PointMatrix};
+use crate::lloyd::{validate_refine_inputs, weighted_lloyd_traced, IterationStats, LloydConfig};
+use crate::minibatch::MiniBatchConfig;
+use kmeans_data::PointMatrix;
 use kmeans_par::Executor;
 use kmeans_util::sampling::{uniform_distinct, weighted_distinct};
 use kmeans_util::timing::Stopwatch;
@@ -55,25 +53,30 @@ use std::fmt;
 /// (the streaming seeders do).
 ///
 /// ```
+/// use kmeans_core::driver::ChunkedBackend;
 /// use kmeans_core::pipeline::{Initializer, KMeansParallel};
 /// use kmeans_data::{InMemorySource, PointMatrix};
 /// use kmeans_par::Executor;
 ///
 /// let points = PointMatrix::from_flat((0..200).map(f64::from).collect(), 2).unwrap();
 /// let exec = Executor::sequential();
-/// // In-memory and chunked entry points of the same stage agree bitwise.
+/// // In-memory and chunked runs of the same stage agree bitwise.
 /// let seeder = KMeansParallel::default();
 /// let mem = seeder.init(&points, None, 4, 7, &exec).unwrap();
 /// let source = InMemorySource::new(points, 16).unwrap();
-/// let chunked = seeder.init_chunked(&source, 4, 7, &exec).unwrap();
+/// let chunked = seeder
+///     .init_backend(&mut ChunkedBackend::new(&source, &exec), 4, 7)
+///     .unwrap();
 /// assert_eq!(mem.centers, chunked.centers);
 /// ```
 pub trait Initializer: fmt::Debug + Send + Sync {
     /// Stable lower-case name used in reports and CLI output.
     fn name(&self) -> &'static str;
 
-    /// Runs the seeding. The seed fully determines the outcome given the
-    /// executor's shard size (worker count never matters).
+    /// Runs the seeding on resident data. The seed fully determines the
+    /// outcome given the executor's shard size (worker count never
+    /// matters). Stages with a round driver run their unweighted case as
+    /// [`Initializer::init_backend`] on an [`InMemoryBackend`].
     fn init(
         &self,
         points: &PointMatrix,
@@ -83,11 +86,11 @@ pub trait Initializer: fmt::Debug + Send + Sync {
         exec: &Executor,
     ) -> Result<InitResult, KMeansError>;
 
-    /// Runs the seeding over any [`RoundBackend`] — the **one**
-    /// backend-taking entry point behind both
-    /// [`KMeans::fit_chunked`](crate::model::KMeans::fit_chunked) (via
-    /// [`ChunkedBackend`]) and `fit_distributed` (via `kmeans-cluster`'s
-    /// `ClusterBackend`).
+    /// Runs the seeding over any [`RoundBackend`] — the entry point
+    /// [`KMeans::fit_round_backend`](crate::model::KMeans::fit_round_backend)
+    /// calls for every execution mode: in-memory `fit`, `fit_chunked`
+    /// (via [`ChunkedBackend`](crate::driver::ChunkedBackend)) and
+    /// `fit_distributed` (via `kmeans-cluster`'s `ClusterBackend`).
     ///
     /// Stages whose round structure is expressible in the backend
     /// primitives (k-means||, random) override this once and run on
@@ -111,30 +114,12 @@ pub trait Initializer: fmt::Debug + Send + Sync {
 
     /// Whether [`Initializer::init_backend`] has a realization on the
     /// given backend kind. Declarative twin of `init_backend`'s own
-    /// rejection behavior (must agree with it) — frontends use it to
-    /// fail fast with the stage's typed rejection *before* any stage
-    /// touches the backend (`fit_distributed` checks both pipeline
-    /// stages up front, so an unsupported refiner is reported before
-    /// the seeding runs).
+    /// rejection behavior (must agree with it) — `fit_round_backend`
+    /// checks both pipeline stages up front, so an unsupported refiner
+    /// is reported before the seeding touches the data.
     fn supports_backend(&self, kind: BackendKind) -> bool {
         let _ = kind;
         false
-    }
-
-    /// Runs the seeding over a block-resident [`ChunkedSource`] — the
-    /// out-of-core entry point behind
-    /// [`KMeans::fit_chunked`](crate::model::KMeans::fit_chunked).
-    ///
-    /// Provided: routes through [`Initializer::init_backend`] on a
-    /// [`ChunkedBackend`]. Implement `init_backend`, not this.
-    fn init_chunked(
-        &self,
-        source: &dyn ChunkedSource,
-        k: usize,
-        seed: u64,
-        exec: &Executor,
-    ) -> Result<InitResult, KMeansError> {
-        self.init_backend(&mut ChunkedBackend::new(source, exec), k, seed)
     }
 }
 
@@ -143,7 +128,9 @@ pub trait Refiner: fmt::Debug + Send + Sync {
     /// Stable lower-case name used in reports and CLI output.
     fn name(&self) -> &'static str;
 
-    /// Runs the refinement from `centers`.
+    /// Runs the refinement from `centers` on resident data. Stages with
+    /// a round driver run their unweighted case as
+    /// [`Refiner::refine_backend`] on an [`InMemoryBackend`].
     fn refine(
         &self,
         points: &PointMatrix,
@@ -153,12 +140,10 @@ pub trait Refiner: fmt::Debug + Send + Sync {
         exec: &Executor,
     ) -> Result<RefineResult, KMeansError>;
 
-    /// Runs the refinement over any [`RoundBackend`] — the **one**
-    /// backend-taking entry point behind `fit_chunked` and
-    /// `fit_distributed` (see [`Initializer::init_backend`] for the
-    /// contract). Overriding stages stay bit-identical to
-    /// [`Refiner::refine`]; the default rejects with the mode-specific
-    /// typed error.
+    /// Runs the refinement over any [`RoundBackend`] — the entry point
+    /// `fit_round_backend` calls for every execution mode (see
+    /// [`Initializer::init_backend`] for the contract). The default
+    /// rejects with the mode-specific typed error.
     fn refine_backend(
         &self,
         backend: &mut dyn RoundBackend,
@@ -175,21 +160,6 @@ pub trait Refiner: fmt::Debug + Send + Sync {
     fn supports_backend(&self, kind: BackendKind) -> bool {
         let _ = kind;
         false
-    }
-
-    /// Runs the refinement over a block-resident [`ChunkedSource`] (one
-    /// scan per Lloyd iteration, gathered batches for mini-batch).
-    ///
-    /// Provided: routes through [`Refiner::refine_backend`] on a
-    /// [`ChunkedBackend`]. Implement `refine_backend`, not this.
-    fn refine_chunked(
-        &self,
-        source: &dyn ChunkedSource,
-        centers: &PointMatrix,
-        seed: u64,
-        exec: &Executor,
-    ) -> Result<RefineResult, KMeansError> {
-        self.refine_backend(&mut ChunkedBackend::new(source, exec), centers, seed)
     }
 }
 
@@ -279,10 +249,11 @@ pub(crate) fn validate_weights(
     Ok(())
 }
 
-/// Shared epilogue for initializers: stamps duration and the (possibly
-/// weighted) seed cost, exactly as the legacy `InitMethod::run` did.
-/// Public so out-of-crate [`Initializer`] implementations (the streaming
-/// adapters) stay on the same seed-cost convention.
+/// Shared epilogue for in-memory initializers: stamps duration (which
+/// excludes the seed-cost pass) and the (possibly weighted) seed cost —
+/// the in-memory twin of [`finish_init_backend`]. Public so out-of-crate
+/// [`Initializer`] implementations (the streaming adapters) stay on the
+/// same seed-cost convention.
 pub fn finish_init(
     points: &PointMatrix,
     weights: Option<&[f64]>,
@@ -337,28 +308,25 @@ impl Initializer for Random {
         seed: u64,
         exec: &Executor,
     ) -> Result<InitResult, KMeansError> {
+        let Some(w) = weights else {
+            return self.init_backend(&mut InMemoryBackend::new(points, exec), k, seed);
+        };
         validate(points, k)?;
         validate_weights(points, weights)?;
         let sw = Stopwatch::start();
         let mut rng = Rng::derive(seed, &[20]);
-        let centers = match weights {
-            None => random_init(points, k, &mut rng)?,
-            Some(w) => {
-                // Weight-proportional sampling without replacement; if
-                // fewer than k points carry positive weight, top up
-                // uniformly from the zero-weight remainder.
-                let mut sel = weighted_distinct(w, k, &mut rng);
-                if sel.len() < k {
-                    let taken: std::collections::BTreeSet<usize> = sel.iter().copied().collect();
-                    let rest: Vec<usize> =
-                        (0..points.len()).filter(|i| !taken.contains(i)).collect();
-                    for j in uniform_distinct(rest.len(), k - sel.len(), &mut rng) {
-                        sel.push(rest[j]);
-                    }
-                }
-                points.select(&sel)
+        // Weight-proportional sampling without replacement; if fewer than
+        // k points carry positive weight, top up uniformly from the
+        // zero-weight remainder.
+        let mut sel = weighted_distinct(w, k, &mut rng);
+        if sel.len() < k {
+            let taken: std::collections::BTreeSet<usize> = sel.iter().copied().collect();
+            let rest: Vec<usize> = (0..points.len()).filter(|i| !taken.contains(i)).collect();
+            for j in uniform_distinct(rest.len(), k - sel.len(), &mut rng) {
+                sel.push(rest[j]);
             }
-        };
+        }
+        let centers = points.select(&sel);
         let stats = InitStats {
             rounds: 0,
             passes: 1,
@@ -467,11 +435,8 @@ impl Initializer for KMeansParallel {
         seed: u64,
         exec: &Executor,
     ) -> Result<InitResult, KMeansError> {
-        validate(points, k)?;
         reject_weights("k-means||", weights)?;
-        let sw = Stopwatch::start();
-        let (centers, stats) = kmeans_parallel(points, k, &self.0, seed, exec)?;
-        Ok(finish_init(points, weights, centers, stats, sw, exec))
+        self.init_backend(&mut InMemoryBackend::new(points, exec), k, seed)
     }
 
     fn init_backend(
@@ -559,66 +524,48 @@ impl Refiner for Lloyd {
         points: &PointMatrix,
         weights: Option<&[f64]>,
         centers: &PointMatrix,
-        _seed: u64,
+        seed: u64,
         exec: &Executor,
     ) -> Result<RefineResult, KMeansError> {
         validate_weights(points, weights)?;
-        let n = points.len() as u64;
-        let k = centers.len() as u64;
-        match weights {
+        let Some(w) = weights else {
+            return self.refine_backend(&mut InMemoryBackend::new(points, exec), centers, seed);
+        };
+        self.0.validate()?;
+        validate_refine_inputs(points, centers)?;
+        let trace = weighted_lloyd_traced(
+            points,
+            w,
+            centers.clone(),
+            self.0.max_iterations,
+            self.0.tol,
+        );
+        // On a stable exit the trace's last pass already produced
+        // (labels, cost) for the final centers; otherwise one closing
+        // relabel pass is needed (and counted).
+        let (labels, cost, closing) = match trace.stable {
+            Some((labels, cost)) => (labels, cost, 0),
             None => {
-                let r = lloyd(points, centers, &self.0, exec)?;
-                // assign_and_sum spends n·k per assignment pass; lloyd()
-                // counts the closing relabel pass itself.
-                Ok(RefineResult {
-                    distance_computations: n * k * r.assign_passes as u64,
-                    pruned_by_norm_bound: r.pruned_by_norm_bound,
-                    centers: r.centers,
-                    labels: r.labels,
-                    cost: r.cost,
-                    iterations: r.iterations,
-                    converged: r.converged,
-                    history: r.history,
-                })
+                let (labels, _sums, _wsum, cost) = assign_weighted(points, w, &trace.centers);
+                (labels, cost, 1)
             }
-            Some(w) => {
-                self.0.validate()?;
-                validate_refine_inputs(points, centers)?;
-                let trace = weighted_lloyd_traced(
-                    points,
-                    w,
-                    centers.clone(),
-                    self.0.max_iterations,
-                    self.0.tol,
-                );
-                // On a stable exit the trace's last pass already produced
-                // (labels, cost) for the final centers; otherwise one
-                // closing relabel pass is needed (and counted).
-                let (labels, cost, closing) = match trace.stable {
-                    Some((labels, cost)) => (labels, cost, 0),
-                    None => {
-                        let (labels, _sums, _wsum, cost) =
-                            assign_weighted(points, w, &trace.centers);
-                        (labels, cost, 1)
-                    }
-                };
-                Ok(RefineResult {
-                    centers: trace.centers,
-                    labels,
-                    cost,
-                    // Match unweighted lloyd()'s convention (history.len()):
-                    // every in-loop assignment pass counts as an iteration,
-                    // the stability-detecting no-op pass included.
-                    iterations: trace.assign_passes,
-                    converged: trace.converged,
-                    history: Vec::new(),
-                    distance_computations: n * k * (trace.assign_passes as u64 + closing),
-                    // The weighted kernels are sequential scalar code on
-                    // candidate-set-sized data; no norm pruning there.
-                    pruned_by_norm_bound: 0,
-                })
-            }
-        }
+        };
+        let nk = points.len() as u64 * centers.len() as u64;
+        Ok(RefineResult {
+            centers: trace.centers,
+            labels,
+            cost,
+            // Match the unweighted driver's convention (history.len()):
+            // every in-loop assignment pass counts as an iteration, the
+            // stability-detecting no-op pass included.
+            iterations: trace.assign_passes,
+            converged: trace.converged,
+            history: Vec::new(),
+            distance_computations: nk * (trace.assign_passes as u64 + closing),
+            // The weighted kernels are sequential scalar code on
+            // candidate-set-sized data; no norm pruning there.
+            pruned_by_norm_bound: 0,
+        })
     }
 
     fn refine_backend(
@@ -630,6 +577,8 @@ impl Refiner for Lloyd {
         let n = backend.len() as u64;
         let k = centers.len() as u64;
         let r = drive_lloyd(backend, centers, &self.0)?;
+        // n·k per assignment pass; the driver counts the closing relabel
+        // pass itself.
         Ok(RefineResult {
             distance_computations: n * k * r.assign_passes as u64,
             pruned_by_norm_bound: r.pruned_by_norm_bound,
@@ -704,21 +653,7 @@ impl Refiner for MiniBatch {
         exec: &Executor,
     ) -> Result<RefineResult, KMeansError> {
         reject_weights("minibatch", weights)?;
-        let k = centers.len() as u64;
-        let (refined, batch_stats) = minibatch_kmeans_traced(points, centers, &self.0, seed)?;
-        let (labels, sums) = assign_and_sum(points, &refined, exec);
-        Ok(RefineResult {
-            centers: refined,
-            labels,
-            cost: sums.cost,
-            iterations: self.0.iterations,
-            converged: false, // fixed budget; no convergence test
-            history: Vec::new(),
-            distance_computations: (self.0.batch_size * self.0.iterations) as u64 * k
-                + points.len() as u64 * k,
-            pruned_by_norm_bound: batch_stats.pruned_by_norm_bound
-                + sums.stats.pruned_by_norm_bound,
-        })
+        self.refine_backend(&mut InMemoryBackend::new(points, exec), centers, seed)
     }
 
     fn refine_backend(
@@ -764,21 +699,15 @@ impl Refiner for NoRefine {
         points: &PointMatrix,
         weights: Option<&[f64]>,
         centers: &PointMatrix,
-        _seed: u64,
+        seed: u64,
         exec: &Executor,
     ) -> Result<RefineResult, KMeansError> {
         validate_weights(points, weights)?;
-        validate_refine_inputs(points, centers)?;
-        let (labels, cost, pruned) = match weights {
-            None => {
-                let (labels, sums) = assign_and_sum(points, centers, exec);
-                (labels, sums.cost, sums.stats.pruned_by_norm_bound)
-            }
-            Some(w) => {
-                let (labels, _sums, _wsum, cost) = assign_weighted(points, w, centers);
-                (labels, cost, 0)
-            }
+        let Some(w) = weights else {
+            return self.refine_backend(&mut InMemoryBackend::new(points, exec), centers, seed);
         };
+        validate_refine_inputs(points, centers)?;
+        let (labels, _sums, _wsum, cost) = assign_weighted(points, w, centers);
         Ok(RefineResult {
             centers: centers.clone(),
             labels,
@@ -787,7 +716,7 @@ impl Refiner for NoRefine {
             converged: true,
             history: Vec::new(),
             distance_computations: points.len() as u64 * centers.len() as u64,
-            pruned_by_norm_bound: pruned,
+            pruned_by_norm_bound: 0,
         })
     }
 

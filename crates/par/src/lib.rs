@@ -20,15 +20,15 @@
 //! identical results for every `t` — an invariant the integration test
 //! `tests/parallel_consistency.rs` checks end-to-end.
 //!
-//! The [`mapreduce`] module is a small single-machine *model* of the
-//! MapReduce realization sketched in §3.5 of the paper, with record/pair
-//! accounting used by the Table 4 experiment.
+//! This crate is the single-machine substrate only. The §3.5 round
+//! structure across machines is `kmeans-cluster`, which runs the same
+//! `KMeans::fit_round_backend` body as in-memory and out-of-core fits and
+//! measures real data passes, round trips and bytes on the wire.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod executor;
-pub mod mapreduce;
 pub mod shards;
 
 pub use executor::{Executor, Parallelism};

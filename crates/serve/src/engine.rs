@@ -48,12 +48,14 @@
 //!
 //! [`ServeEngine::drain`] flips the engine into drain mode: every
 //! *new* submission is rejected with [`WireError::Draining`], while
-//! already-admitted work completes and replies normally. Drain-mode
-//! rejection double-checks after reserving queue space, so a submission
-//! racing the flag flip either lands wholly before the drain (and is
-//! honored) or is rejected with its reservation rolled back — admitted
-//! work is never lost. [`ServeEngine::is_drained`] reports when the
-//! last admitted point has been answered.
+//! already-admitted work completes and replies normally. The drain flag
+//! is the top bit of the admission counter itself: `drain` sets it with
+//! one `fetch_or`, and a reservation is one compare-and-swap that fails
+//! once the bit is set. A submission racing the flip therefore either
+//! lands wholly before the drain (counted in `drain`'s return value and
+//! answered) or is rejected without ever being counted — admitted work
+//! is never lost or miscounted. [`ServeEngine::is_drained`] reports when
+//! the last admitted point has been answered.
 
 use crate::protocol::ServeStats;
 use kmeans_cluster::protocol::WireError;
@@ -76,6 +78,10 @@ pub const DEFAULT_QUEUE_CAP_POINTS: usize = 4 * DEFAULT_MAX_BATCH_POINTS;
 
 /// Trace category of the engine's overload/drain instants.
 const SERVE_CAT: &str = "serve";
+
+/// The drain flag: the top bit of `Shared::queued_points`. The low 63
+/// bits count admitted-but-unanswered points.
+const DRAINING: u64 = 1 << 63;
 
 /// Construction knobs for [`ServeEngine::with_config`].
 pub struct EngineConfig {
@@ -189,8 +195,9 @@ struct Shared {
     // Admission control / drain state.
     batch_cap: u64,
     queue_cap: u64,
+    /// Admitted-but-unanswered points; the top bit is the drain flag
+    /// ([`DRAINING`]), so admission and drain order on one word.
     queued_points: AtomicU64,
-    draining: AtomicBool,
     shed_requests: AtomicU64,
     shed_points: AtomicU64,
     deadline_exceeded: AtomicU64,
@@ -265,7 +272,6 @@ impl ServeEngine {
             batch_cap: batch_cap as u64,
             queue_cap: config.queue_cap.max(1) as u64,
             queued_points: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
             shed_requests: AtomicU64::new(0),
             shed_points: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
@@ -309,15 +315,17 @@ impl ServeEngine {
     ) -> Result<AssignReply, WireError> {
         let s = &self.shared;
         let n = points.len() as u64;
-        if s.draining.load(Ordering::SeqCst) {
-            return Err(self.reject_draining());
-        }
-        // Reserve queue space, or shed. The reservation is released when
-        // the reply is handed back (admitted-but-unanswered accounting).
-        // `queued == 0` always admits, so one request larger than the cap
-        // cannot wedge an idle server.
+        // Reserve queue space, or shed, or reject if draining — one CAS
+        // on the word that also carries the drain flag. The reservation
+        // is released when the reply is handed back
+        // (admitted-but-unanswered accounting). `queued == 0` always
+        // admits, so one request larger than the cap cannot wedge an
+        // idle server.
         let mut queued = s.queued_points.load(Ordering::SeqCst);
         loop {
+            if queued & DRAINING != 0 {
+                return Err(self.reject_draining());
+            }
             if queued != 0 && queued.saturating_add(n) > s.queue_cap {
                 s.shed_requests.fetch_add(1, Ordering::Relaxed);
                 s.shed_points.fetch_add(n, Ordering::Relaxed);
@@ -343,13 +351,6 @@ impl ServeEngine {
                 Ok(_) => break,
                 Err(actual) => queued = actual,
             }
-        }
-        // Double-check after reserving: a drain that raced the
-        // reservation must not strand points in the queue counter (the
-        // drain watcher waits for it to reach zero).
-        if s.draining.load(Ordering::SeqCst) {
-            s.queued_points.fetch_sub(n, Ordering::SeqCst);
-            return Err(self.reject_draining());
         }
         let t0 = s.clock.now_ns();
         let deadline = deadline_ms.map(|ms| (t0.saturating_add(ms.saturating_mul(1_000_000)), ms));
@@ -400,8 +401,11 @@ impl ServeEngine {
     /// rejected with [`WireError::Draining`], admitted work completes.
     /// Returns the points admitted-but-unanswered at the flip.
     pub fn drain(&self) -> u64 {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        let queued = self.shared.queued_points.load(Ordering::SeqCst);
+        let prev = self
+            .shared
+            .queued_points
+            .fetch_or(DRAINING, Ordering::SeqCst);
+        let queued = prev & !DRAINING;
         self.shared.recorder.instant("serve:drain", SERVE_CAT, || {
             vec![arg_u64("queued_points", queued)]
         });
@@ -410,7 +414,7 @@ impl ServeEngine {
 
     /// Whether a drain has begun (readiness should report down).
     pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
+        self.shared.queued_points.load(Ordering::SeqCst) & DRAINING != 0
     }
 
     /// Whether a drain has begun *and* every admitted request has been
@@ -418,8 +422,7 @@ impl ServeEngine {
     /// ([`ServeEngine::reply_guard`]) — the point at which the server
     /// process may exit without losing work.
     pub fn is_drained(&self) -> bool {
-        self.is_draining()
-            && self.shared.queued_points.load(Ordering::SeqCst) == 0
+        self.shared.queued_points.load(Ordering::SeqCst) == DRAINING
             && self.shared.busy_replies.load(Ordering::SeqCst) == 0
     }
 
@@ -436,7 +439,7 @@ impl ServeEngine {
 
     /// Points currently admitted but not yet answered.
     pub fn queued_points(&self) -> u64 {
-        self.shared.queued_points.load(Ordering::SeqCst)
+        self.shared.queued_points.load(Ordering::SeqCst) & !DRAINING
     }
 
     /// The admission cap, in points.
@@ -507,6 +510,7 @@ impl ServeEngine {
         let requests = s.requests.load(Ordering::Relaxed);
         let points = s.points.load(Ordering::Relaxed);
         let batches = s.batches.load(Ordering::Relaxed);
+        let queued = s.queued_points.load(Ordering::SeqCst);
         ServeStats {
             revision: self.current().revision,
             requests,
@@ -534,9 +538,9 @@ impl ServeEngine {
             shed_points: s.shed_points.load(Ordering::Relaxed),
             deadline_exceeded: s.deadline_exceeded.load(Ordering::Relaxed),
             drain_rejected: s.drain_rejected.load(Ordering::Relaxed),
-            queued_points: s.queued_points.load(Ordering::SeqCst),
+            queued_points: queued & !DRAINING,
             queue_cap: s.queue_cap,
-            draining: s.draining.load(Ordering::SeqCst),
+            draining: queued & DRAINING != 0,
         }
     }
 
@@ -885,6 +889,49 @@ mod tests {
         assert_eq!(stats.drain_rejected, 1);
         assert!(stats.draining);
         assert_eq!(stats.queued_points, 0);
+    }
+
+    /// Submissions racing a drain: each one is either admitted before the
+    /// flip — counted in `drain()`'s return value and answered — or
+    /// rejected as draining. Nothing admitted is dropped, and nothing
+    /// rejected is counted. Each round releases the submitters and the
+    /// drain from one barrier behind a paused batcher.
+    #[test]
+    fn drain_racing_submissions_counts_exactly_the_answered_points() {
+        let (points, record) = fitted_record(9);
+        for _ in 0..16 {
+            let engine =
+                ServeEngine::new(record.clone(), Executor::new(Parallelism::Sequential)).unwrap();
+            let guard = engine.pause();
+            let start = Arc::new(std::sync::Barrier::new(5));
+            let submitters: Vec<_> = (0..4)
+                .map(|i| {
+                    let engine = engine.clone();
+                    let points = points.select(&(0..=i).collect::<Vec<_>>());
+                    let start = Arc::clone(&start);
+                    std::thread::spawn(move || {
+                        start.wait();
+                        (points.len() as u64, engine.assign(points, true))
+                    })
+                })
+                .collect();
+            start.wait();
+            let drained = engine.drain();
+            drop(guard);
+            let mut answered = 0;
+            for handle in submitters {
+                match handle.join().unwrap() {
+                    (n, Ok(reply)) => {
+                        assert_eq!(reply.labels.len() as u64, n);
+                        answered += n;
+                    }
+                    (_, Err(err)) => assert_eq!(err, WireError::Draining),
+                }
+            }
+            assert_eq!(answered, drained);
+            spin_until(std::time::Duration::from_secs(10), || engine.is_drained());
+            assert_eq!(engine.queued_points(), 0);
+        }
     }
 
     #[test]

@@ -151,7 +151,7 @@ pub fn partition_init(
 /// therefore deterministic per seed but not bit-identical to the in-memory
 /// entry point (every other chunked seeder in the workspace is; see
 /// `kmeans_core::chunked`).
-pub fn partition_init_chunked(
+pub fn partition_init_streamed(
     source: &dyn kmeans_data::ChunkedSource,
     k: usize,
     config: &PartitionConfig,

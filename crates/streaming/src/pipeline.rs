@@ -14,7 +14,7 @@
 //! return exactly `k` centers.
 
 use crate::coreset::CoresetTree;
-use crate::partition::{partition_init, partition_init_chunked, PartitionConfig};
+use crate::partition::{partition_init, partition_init_streamed, PartitionConfig};
 use kmeans_core::chunked::{check_block_finite, validate_source};
 use kmeans_core::driver::{finish_init_backend, RoundBackend};
 use kmeans_core::init::{validate, InitResult, InitStats};
@@ -81,7 +81,7 @@ impl Initializer for Partition {
             return Err(reject_backend(self.name(), backend.kind()));
         };
         let sw = Stopwatch::start();
-        let result = partition_init_chunked(source, k, &self.0, seed, exec)?;
+        let result = partition_init_streamed(source, k, &self.0, seed, exec)?;
         let stats = InitStats {
             rounds: 1,
             passes: 2,

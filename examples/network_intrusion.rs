@@ -18,36 +18,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("generating KDD-shaped traffic: {n} connection records x 42 features");
     let synth = KddLike::new(n).generate(9)?;
     let points = synth.dataset.points();
-    let exec = Executor::new(Parallelism::Auto);
 
     // --- seeding comparison -------------------------------------------------
+    // The paper caps parallel Lloyd at 20 iterations.
+    let base = KMeans::params(k).max_iterations(20).seed(4);
     let mut report = Vec::new();
-    for (name, init) in [
-        ("Random", Some(InitMethod::Random)),
-        ("k-means||", Some(InitMethod::default())),
-        ("Partition", None),
+    for (name, builder) in [
+        ("Random", base.clone().init(Random)),
+        ("k-means||", base.clone()),
+        ("Partition", base.clone().init(Partition::default())),
     ] {
         let start = Instant::now();
-        let (cost, candidates) = match init {
-            Some(init) => {
-                let model = KMeans::params(k)
-                    .init(init)
-                    .max_iterations(20) // the paper caps parallel Lloyd at 20
-                    .seed(4)
-                    .fit(points)?;
-                (model.cost(), model.init_stats().candidates)
-            }
-            None => {
-                let result = partition_init(points, k, &PartitionConfig::default(), 4, &exec)?;
-                let lloyd = LloydConfig {
-                    max_iterations: 20,
-                    tol: 0.0,
-                };
-                let out = kmeans_core::lloyd::lloyd(points, &result.centers, &lloyd, &exec)?;
-                (out.cost, result.intermediate_centers)
-            }
-        };
-        report.push((name, cost, candidates, start.elapsed()));
+        let model = builder.fit(points)?;
+        let candidates = model.init_stats().candidates;
+        report.push((name, model.cost(), candidates, start.elapsed()));
     }
     println!("\nmethod       final cost     intermediate centers   time");
     for (name, cost, candidates, time) in &report {

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|&s| {
             Ok::<f64, KMeansError>(
                 KMeans::params(k)
-                    .init(InitMethod::KMeansPlusPlus)
+                    .init(KMeansPlusPlus)
                     .seed(s)
                     .fit(points)?
                     .cost(),
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .map(|&s| {
                     Ok::<f64, KMeansError>(
                         KMeans::params(k)
-                            .init(InitMethod::KMeansParallel(
+                            .init(KMeansParallel(
                                 KMeansParallelConfig::default()
                                     .oversampling_factor(f)
                                     .rounds(r),

@@ -18,15 +18,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         synth.true_centers.len()
     );
 
-    for (name, init) in [
-        ("Random    ", InitMethod::Random),
-        ("k-means++ ", InitMethod::KMeansPlusPlus),
-        (
-            "k-means|| ",
-            InitMethod::KMeansParallel(KMeansParallelConfig::default()), // ℓ=2k, r=5
-        ),
+    let base = KMeans::params(50).seed(7);
+    for (name, builder) in [
+        ("Random    ", base.clone().init(Random)),
+        ("k-means++ ", base.clone().init(KMeansPlusPlus)),
+        ("k-means|| ", base.clone().init(KMeansParallel::default())), // ℓ=2k, r=5
     ] {
-        let model = KMeans::params(50).init(init).seed(7).fit(points)?;
+        let model = builder.fit(points)?;
         println!(
             "{name} seed cost {:>10.3e}   final cost {:>10.3e}   lloyd iters {:>3}   nmi {:.3}",
             model.init_stats().seed_cost,

@@ -16,10 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let k = 20;
 
     // Heavy-tailed features make Random seeding collapse; show the gap.
-    let random = KMeans::params(k)
-        .init(InitMethod::Random)
-        .seed(3)
-        .fit(points)?;
+    let random = KMeans::params(k).init(Random).seed(3).fit(points)?;
     let parallel = KMeans::params(k).seed(3).fit(points)?; // k-means|| default
     println!("seeding on heavy-tailed features (k = {k}):");
     println!(

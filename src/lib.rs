@@ -10,10 +10,10 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`cluster`] (`kmeans-cluster`) | coordinator/worker distributed runtime: checksummed wire protocol, TCP + loopback transports, `fit_distributed` |
-//! | [`core`] (`kmeans-core`) | k-means\|\|, k-means++, Random seeding, Lloyd's iteration, mini-batch k-means, the backend-generic round drivers, metrics, the [`KMeans`] pipeline |
+//! | [`core`] (`kmeans-core`) | k-means\|\|, k-means++, Random seeding, Lloyd's iteration, mini-batch k-means, the backend-generic round drivers, metrics, the [`KMeans`] pipeline — the one public way to start a fit |
 //! | [`data`] (`kmeans-data`) | `PointMatrix` storage, the GaussMixture / SpamLike / KddLike generators, CSV I/O, the `SKMMDL01` model file |
 //! | [`obs`] (`kmeans-obs`) | flight recorder: structured spans + counters behind a `Clock`, log2 latency histograms with exact quantiles, Chrome trace JSON, Prometheus text rendering |
-//! | [`par`] (`kmeans-par`) | deterministic shard executor + MapReduce-model simulator |
+//! | [`par`] (`kmeans-par`) | deterministic shard executor |
 //! | [`serve`] (`kmeans-serve`) | online assignment service: micro-batching engine, `SKS1` protocol, TCP/loopback server + client, atomic model hot-swap |
 //! | [`streaming`] (`kmeans-streaming`) | the Partition baseline (Ailon et al.), k-means#, a coreset tree |
 //! | [`util`] (`kmeans-util`) | portable RNG, weighted sampling, statistics |
@@ -79,26 +79,25 @@ pub use kmeans_streaming as streaming;
 pub use kmeans_util as util;
 
 pub use kmeans_core::{
-    InitMethod, Initializer, KMeans, KMeansError, KMeansModel, KMeansParallelConfig, LloydConfig,
-    RefineResult, Refiner,
+    Initializer, KMeans, KMeansError, KMeansModel, KMeansParallelConfig, LloydConfig, RefineResult,
+    Refiner,
 };
 
 /// Convenient glob-import surface for applications.
 pub mod prelude {
-    pub use kmeans_cluster::{
-        Cluster, ClusterBackend, DistInit, DistRefine, FitDistributed, Worker as ClusterWorker,
-    };
+    pub use kmeans_cluster::{Cluster, ClusterBackend, FitDistributed, Worker as ClusterWorker};
     pub use kmeans_core::accel::{hamerly_lloyd, HamerlyResult};
     pub use kmeans_core::driver::{BackendKind, ChunkedBackend, InMemoryBackend, RoundBackend};
     pub use kmeans_core::init::{
-        InitMethod, KMeansParallelConfig, Oversampling, Recluster, Rounds, SamplingMode, TopUp,
+        KMeansParallelConfig, Oversampling, Recluster, Rounds, SamplingMode, TopUp,
     };
     pub use kmeans_core::lloyd::LloydConfig;
     pub use kmeans_core::metrics::{adjusted_rand_index, nmi, purity, silhouette_sampled};
     pub use kmeans_core::minibatch::MiniBatchConfig;
     pub use kmeans_core::model::{KMeans, KMeansModel};
     pub use kmeans_core::pipeline::{
-        AfkMc2, HamerlyLloyd, Initializer, Lloyd, MiniBatch, NoRefine, RefineResult, Refiner,
+        AfkMc2, HamerlyLloyd, Initializer, KMeansParallel, KMeansPlusPlus, Lloyd, MiniBatch,
+        NoRefine, Random, RefineResult, Refiner,
     };
     pub use kmeans_core::KMeansError;
     pub use kmeans_data::synth::{GaussMixture, KddLike, SpamLike};

@@ -15,7 +15,7 @@ fn median_cost(points: &PointMatrix, k: usize, config: KMeansParallelConfig) -> 
     let costs: Vec<f64> = (0..7)
         .map(|s| {
             KMeans::params(k)
-                .init(InitMethod::KMeansParallel(config))
+                .init(KMeansParallel(config))
                 .seed(s)
                 .fit(points)
                 .unwrap()
@@ -37,8 +37,8 @@ fn a1_bernoulli_and_exact_l_reach_comparable_seed_quality() {
         let exec = Executor::new(Parallelism::Sequential);
         let costs: Vec<f64> = (0..9)
             .map(|s| {
-                InitMethod::KMeansParallel(KMeansParallelConfig::default().sampling(mode))
-                    .run(points, 25, s, &exec)
+                KMeansParallel(KMeansParallelConfig::default().sampling(mode))
+                    .init(points, None, 25, s, &exec)
                     .unwrap()
                     .stats
                     .seed_cost
@@ -113,14 +113,14 @@ fn topup_policies_agree_when_sampling_is_sufficient() {
     let synth = heavy_mixture();
     let points = synth.dataset.points();
     let d2 = KMeans::params(10)
-        .init(InitMethod::KMeansParallel(
+        .init(KMeansParallel(
             KMeansParallelConfig::default().topup(TopUp::D2Continue),
         ))
         .seed(42)
         .fit(points)
         .unwrap();
     let uni = KMeans::params(10)
-        .init(InitMethod::KMeansParallel(
+        .init(KMeansParallel(
             KMeansParallelConfig::default().topup(TopUp::Uniform),
         ))
         .seed(42)

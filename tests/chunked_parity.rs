@@ -3,6 +3,7 @@
 //! dataset larger than the configured memory budget streams within budget,
 //! asserted via the block reader's peak-resident accounting.
 
+use kmeans_core::driver::ChunkedBackend;
 use kmeans_core::init::KMeansParallelConfig;
 use kmeans_core::minibatch::MiniBatchConfig;
 use kmeans_core::model::{KMeans, KMeansModel};
@@ -99,13 +100,16 @@ fn builder_grid_is_bit_identical_across_block_sizes_and_threads() {
                 .unwrap();
             for block_rows in [97, 512, 2048] {
                 let source = InMemorySource::new(points.clone(), block_rows).unwrap();
-                let chunked_init = init.init_chunked(&source, 6, 42, &exec).unwrap();
+                let chunked_init = init
+                    .init_backend(&mut ChunkedBackend::new(&source, &exec), 6, 42)
+                    .unwrap();
                 assert_eq!(
                     mem_init.centers, chunked_init.centers,
                     "{init_name} seeds, block_rows {block_rows}"
                 );
+                let mut backend = ChunkedBackend::new(&source, &exec);
                 let chunked = refiner
-                    .refine_chunked(&source, &chunked_init.centers, 42, &exec)
+                    .refine_backend(&mut backend, &chunked_init.centers, 42)
                     .unwrap();
                 assert_eq!(
                     mem.centers, chunked.centers,
@@ -269,33 +273,21 @@ fn chunked_partition_is_deterministic_and_covers_blobs() {
     let points = gauss(1000, 4, 8);
     let exec = kmeans_par::Executor::sequential();
     let seeder = kmeans_streaming::Partition::default();
-    let a = seeder
-        .init_chunked(
-            &InMemorySource::new(points.clone(), 100).unwrap(),
-            4,
-            5,
-            &exec,
-        )
-        .unwrap();
-    let b = seeder
-        .init_chunked(
-            &InMemorySource::new(points.clone(), 333).unwrap(),
-            4,
-            5,
-            &exec,
-        )
-        .unwrap();
+    let seed_with_blocks = |block_rows: usize| {
+        let source = InMemorySource::new(points.clone(), block_rows).unwrap();
+        seeder
+            .init_backend(&mut ChunkedBackend::new(&source, &exec), 4, 5)
+            .unwrap()
+    };
+    let a = seed_with_blocks(100);
+    let b = seed_with_blocks(333);
     assert_eq!(a.centers, b.centers, "block size must not change results");
     assert_eq!(a.centers.len(), 4);
     assert!(a.stats.candidates > 4, "intermediate coreset recorded");
     // Refines fine downstream.
+    let source = InMemorySource::new(points.clone(), 100).unwrap();
     let r = Lloyd::default()
-        .refine_chunked(
-            &InMemorySource::new(points.clone(), 100).unwrap(),
-            &a.centers,
-            5,
-            &exec,
-        )
+        .refine_backend(&mut ChunkedBackend::new(&source, &exec), &a.centers, 5)
         .unwrap();
     assert!(r.converged);
     assert!(r.cost <= a.stats.seed_cost + 1e-9);
@@ -310,12 +302,14 @@ fn unsupported_chunked_paths_fail_loudly() {
     let exec = kmeans_par::Executor::sequential();
 
     let err = kmeans_core::pipeline::AfkMc2::default()
-        .init_chunked(&source, 3, 0, &exec)
+        .init_backend(&mut ChunkedBackend::new(&source, &exec), 3, 0)
         .unwrap_err();
     assert!(err.to_string().contains("afk-mc2 does not support chunked"));
-    let seed = Random.init_chunked(&source, 3, 0, &exec).unwrap();
+    let seed = Random
+        .init_backend(&mut ChunkedBackend::new(&source, &exec), 3, 0)
+        .unwrap();
     let err = kmeans_core::pipeline::HamerlyLloyd::default()
-        .refine_chunked(&source, &seed.centers, 0, &exec)
+        .refine_backend(&mut ChunkedBackend::new(&source, &exec), &seed.centers, 0)
         .unwrap_err();
     assert!(err.to_string().contains("hamerly does not support chunked"));
 
@@ -330,6 +324,29 @@ fn unsupported_chunked_paths_fail_loudly() {
         .fit_chunked()
         .unwrap_err();
     assert!(err.to_string().contains("weighted"), "{err}");
+}
+
+/// `fit_chunked` checks both stages before it touches the source: a
+/// refiner without a chunked formulation is rejected with its typed error
+/// before the seeding reads a single block.
+#[test]
+fn fit_chunked_rejects_an_unsupported_stage_before_reading_the_source() {
+    let points = gauss(512, 3, 2);
+    let path = tmp("fail_fast.skmb");
+    write_block_file(&path, &points, 64).unwrap();
+    let source = Arc::new(BlockFileSource::open(&path, 64 * 1024).unwrap());
+    let err = KMeans::params(3)
+        .init(Random)
+        .refine(kmeans_core::pipeline::HamerlyLloyd::default())
+        .data_source_shared(Arc::clone(&source) as Arc<dyn ChunkedSource>)
+        .fit_chunked()
+        .unwrap_err();
+    assert_eq!(
+        err,
+        KMeansError::InvalidConfig("hamerly does not support chunked data sources".into())
+    );
+    assert_eq!(source.residency().loads, 0, "the seeding must not run");
+    std::fs::remove_file(path).unwrap();
 }
 
 /// Chunked sources propagate the same input-contract errors as the
@@ -351,12 +368,12 @@ fn chunked_input_contract_matches_in_memory() {
         .init(&m, None, 3, 0, &exec)
         .unwrap_err();
     let chunked_err = kmeans_core::pipeline::KMeansParallel::default()
-        .init_chunked(&source, 3, 0, &exec)
+        .init_backend(&mut ChunkedBackend::new(&source, &exec), 3, 0)
         .unwrap_err();
     assert_eq!(mem_err, chunked_err);
     assert_eq!(mem_err, KMeansError::NonFiniteData { point: 40, dim: 0 });
     assert!(matches!(
-        KMeansPlusPlus.init_chunked(&source, 0, 0, &exec),
+        KMeansPlusPlus.init_backend(&mut ChunkedBackend::new(&source, &exec), 0, 0),
         Err(KMeansError::InvalidK { .. })
     ));
 }

@@ -6,12 +6,13 @@
 //! `shard_block_file`) passes the same assertion; and a worker vanishing
 //! mid-round surfaces as a typed error, never a hang.
 
-use scalable_kmeans::cluster::dist::dist_lloyd;
 use scalable_kmeans::cluster::{
-    spawn_loopback_worker, spawn_tcp_worker, Cluster, FitDistributed, Message, Transport,
+    spawn_loopback_worker, spawn_tcp_worker, Cluster, ClusterBackend, FitDistributed, Message,
+    Transport,
 };
+use scalable_kmeans::core::driver::{drive_lloyd, InMemoryBackend};
 use scalable_kmeans::core::init::{KMeansParallelConfig, SamplingMode};
-use scalable_kmeans::core::lloyd::{lloyd, LloydConfig};
+use scalable_kmeans::core::lloyd::LloydConfig;
 use scalable_kmeans::core::model::{KMeans, KMeansModel};
 use scalable_kmeans::core::pipeline::{KMeansParallel, NoRefine, Random};
 use scalable_kmeans::core::KMeansError;
@@ -240,7 +241,7 @@ fn tcp_block_file_workers_match_in_memory() {
 /// Distributed Lloyd reproduces the empty-cluster repair (farthest-point
 /// reseeding, fetched back from the owning worker) bit for bit.
 #[test]
-fn dist_lloyd_reseeds_empty_clusters_like_single_node() {
+fn distributed_lloyd_reseeds_empty_clusters_like_single_node() {
     let points = gauss();
     // Two centers glued far away force empty clusters on pass one.
     let mut init = PointMatrix::new(points.dim());
@@ -248,12 +249,15 @@ fn dist_lloyd_reseeds_empty_clusters_like_single_node() {
     init.push(&vec![-9e5; points.dim()]).unwrap();
     init.push(&vec![-9e5; points.dim()]).unwrap();
     let exec = Executor::new(Parallelism::Threads(3)).with_shard_size(SHARD);
-    let reference = lloyd(&points, &init, &LloydConfig::default(), &exec).unwrap();
+    let mut mem = InMemoryBackend::new(&points, &exec);
+    let reference = drive_lloyd(&mut mem, &init, &LloydConfig::default()).unwrap();
     assert!(reference.history[0].reseeded >= 1, "setup must reseed");
 
     let (mut cluster, handles) = loopback_cluster(&points, 4, 7, Parallelism::Threads(3));
     cluster.plan(SHARD).unwrap();
-    let got = dist_lloyd(&mut cluster, &init, &LloydConfig::default()).unwrap();
+    let mut backend = ClusterBackend::new(&mut cluster);
+    let got = drive_lloyd(&mut backend, &init, &LloydConfig::default()).unwrap();
+    drop(backend);
     cluster.shutdown();
     for h in handles {
         h.join().unwrap().unwrap();

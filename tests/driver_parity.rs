@@ -15,10 +15,10 @@ use scalable_kmeans::core::driver::{
     drive_kmeans_parallel, drive_lloyd, drive_minibatch, drive_random_init, minibatch_window_steps,
     ChunkedBackend, InMemoryBackend, RoundBackend,
 };
-use scalable_kmeans::core::init::{kmeans_parallel, KMeansParallelConfig, SamplingMode};
+use scalable_kmeans::core::init::{KMeansParallelConfig, SamplingMode};
 use scalable_kmeans::core::kernel::{AssignKernel, KernelStats};
-use scalable_kmeans::core::lloyd::{lloyd, LloydConfig, LloydResult};
-use scalable_kmeans::core::minibatch::{minibatch_kmeans_traced, MiniBatchConfig};
+use scalable_kmeans::core::lloyd::{LloydConfig, LloydResult};
+use scalable_kmeans::core::minibatch::MiniBatchConfig;
 use scalable_kmeans::core::model::KMeans;
 use scalable_kmeans::core::pipeline::MiniBatch;
 use scalable_kmeans::core::KMeansError;
@@ -114,10 +114,12 @@ fn run_grid_point(
 ) {
     let exec = Executor::new(parallelism).with_shard_size(SHARD);
 
-    // Reference: the public in-memory entry points (thin wrappers over
-    // the drivers on InMemoryBackend).
-    let (ref_centers, ref_stats) = kmeans_parallel(points, k, config, seed, &exec).unwrap();
-    let ref_lloyd = lloyd(points, &ref_centers, &LloydConfig::default(), &exec).unwrap();
+    // Reference: the drivers on InMemoryBackend, one fresh backend per
+    // stage.
+    let mut mem = InMemoryBackend::new(points, &exec);
+    let (ref_centers, ref_stats) = drive_kmeans_parallel(&mut mem, k, config, seed).unwrap();
+    let mut mem = InMemoryBackend::new(points, &exec);
+    let ref_lloyd = drive_lloyd(&mut mem, &ref_centers, &LloydConfig::default()).unwrap();
 
     // Chunked backend, same drivers.
     let source = InMemorySource::new(points.clone(), block_rows).unwrap();
@@ -191,7 +193,8 @@ proptest! {
         let mut mem = InMemoryBackend::new(&points, &exec);
         let (mem_random, _) = drive_random_init(&mut mem, k, seed).unwrap();
         let exact = KMeansParallelConfig::default().sampling(SamplingMode::ExactL);
-        let (mem_exact, _) = kmeans_parallel(&points, k, &exact, seed, &exec).unwrap();
+        let mut mem = InMemoryBackend::new(&points, &exec);
+        let (mem_exact, _) = drive_kmeans_parallel(&mut mem, k, &exact, seed).unwrap();
 
         let source = InMemorySource::new(points.clone(), 23).unwrap();
         let mut chunked = ChunkedBackend::new(&source, &exec);
@@ -236,7 +239,13 @@ proptest! {
         };
         let config = MiniBatchConfig { batch_size: 24, iterations: 15 };
         let (reference, ref_stats) =
-            minibatch_kmeans_traced(&points, &init, &config, seed).unwrap();
+            drive_minibatch(
+                &mut InMemoryBackend::new(&points, &Executor::sequential()),
+                &init,
+                &config,
+                seed,
+            )
+            .unwrap();
 
         let exec = Executor::sequential().with_shard_size(SHARD);
         let source = InMemorySource::new(points.clone(), block_rows).unwrap();
@@ -332,8 +341,13 @@ fn minibatch_window_edges_agree_across_backends() {
             iterations,
         };
         let (oracle, oracle_stats) = minibatch_per_step(&points, &init, &config, seed);
-        let (reference, ref_stats) =
-            minibatch_kmeans_traced(&points, &init, &config, seed).unwrap();
+        let (reference, ref_stats) = drive_minibatch(
+            &mut InMemoryBackend::new(&points, &Executor::sequential()),
+            &init,
+            &config,
+            seed,
+        )
+        .unwrap();
         assert_eq!(
             reference, oracle,
             "case {case}: in-memory vs per-step oracle"

@@ -32,22 +32,15 @@ fn quality_ordering_matches_table_1() {
         .generate(3)
         .unwrap();
     let points = synth.dataset.points();
-    let median_cost = |init: InitMethod| {
+    let median_cost = |builder: KMeans| {
         let costs: Vec<f64> = (0..5)
-            .map(|s| {
-                KMeans::params(30)
-                    .init(init.clone())
-                    .seed(s)
-                    .fit(points)
-                    .unwrap()
-                    .cost()
-            })
+            .map(|s| builder.clone().seed(s).fit(points).unwrap().cost())
             .collect();
         kmeans_util::stats::median(&costs).unwrap()
     };
-    let random = median_cost(InitMethod::Random);
-    let pp = median_cost(InitMethod::KMeansPlusPlus);
-    let par = median_cost(InitMethod::default());
+    let random = median_cost(KMeans::params(30).init(Random));
+    let pp = median_cost(KMeans::params(30).init(KMeansPlusPlus));
+    let par = median_cost(KMeans::params(30));
     assert!(
         random > 2.0 * pp,
         "Random {random:.3e} not clearly worse than k-means++ {pp:.3e}"
@@ -66,7 +59,7 @@ fn spam_pipeline_handles_heavy_tails() {
     assert_eq!(model.labels().len(), 1_500);
     // Heavy-tailed features: k-means|| must still beat Random by a lot.
     let random = KMeans::params(20)
-        .init(InitMethod::Random)
+        .init(Random)
         .max_iterations(50)
         .seed(2)
         .fit(points)
@@ -89,7 +82,7 @@ fn kdd_pipeline_covers_rare_clusters() {
         .fit(points)
         .unwrap();
     let random = KMeans::params(25)
-        .init(InitMethod::Random)
+        .init(Random)
         .max_iterations(10)
         .seed(1)
         .fit(points)
@@ -117,7 +110,7 @@ fn predict_is_consistent_with_training_assignment() {
 
 #[test]
 fn minibatch_refinement_composes_with_parallel_seeding() {
-    use scalable_kmeans::core::minibatch::{minibatch_kmeans, MiniBatchConfig};
+    use scalable_kmeans::core::minibatch::MiniBatchConfig;
     let synth = GaussMixture::new(10)
         .points(5_000)
         .center_variance(50.0)
@@ -125,19 +118,17 @@ fn minibatch_refinement_composes_with_parallel_seeding() {
         .unwrap();
     let points = synth.dataset.points();
     let exec = Executor::new(Parallelism::Auto);
-    let init = InitMethod::default().run(points, 10, 3, &exec).unwrap();
-    let refined = minibatch_kmeans(
-        points,
-        &init.centers,
-        &MiniBatchConfig {
-            batch_size: 256,
-            iterations: 150,
-        },
-        4,
-    )
+    let init = KMeansParallel::default()
+        .init(points, None, 10, 3, &exec)
+        .unwrap();
+    let refined = MiniBatch(MiniBatchConfig {
+        batch_size: 256,
+        iterations: 150,
+    })
+    .refine(points, None, &init.centers, 4, &exec)
     .unwrap();
     let before = init.stats.seed_cost;
-    let after = scalable_kmeans::core::cost::potential(points, &refined, &exec);
+    let after = scalable_kmeans::core::cost::potential(points, &refined.centers, &exec);
     assert!(
         after < before,
         "mini-batch refinement regressed: {before:.3e} -> {after:.3e}"

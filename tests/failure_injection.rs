@@ -17,10 +17,11 @@ fn non_finite_coordinates_are_rejected_everywhere() {
             matches!(err, KMeansError::NonFiniteData { point: 1, dim: 0 }),
             "{bad}: {err:?}"
         );
-        for init in [InitMethod::Random, InitMethod::KMeansPlusPlus] {
+        let inits: [&dyn Initializer; 2] = [&Random, &KMeansPlusPlus];
+        for init in inits {
             let exec = Executor::new(Parallelism::Sequential);
             assert!(matches!(
-                init.run(&points, 2, 0, &exec),
+                init.init(&points, None, 2, 0, &exec),
                 Err(KMeansError::NonFiniteData { .. })
             ));
         }
@@ -63,15 +64,13 @@ fn invalid_configurations_are_rejected() {
     let points = valid_points();
     // Zero rounds.
     let err = KMeans::params(3)
-        .init(InitMethod::KMeansParallel(
-            KMeansParallelConfig::default().rounds(0),
-        ))
+        .init(KMeansParallel(KMeansParallelConfig::default().rounds(0)))
         .fit(&points)
         .unwrap_err();
     assert!(matches!(err, KMeansError::InvalidConfig(_)));
     // Negative oversampling.
     let err = KMeans::params(3)
-        .init(InitMethod::KMeansParallel(
+        .init(KMeansParallel(
             KMeansParallelConfig::default().oversampling_factor(-1.0),
         ))
         .fit(&points)
@@ -92,18 +91,15 @@ fn invalid_configurations_are_rejected() {
 fn degenerate_data_survives_the_full_pipeline() {
     // All-identical points: every center coincides; cost 0; no panic.
     let points = PointMatrix::from_flat(vec![7.0; 100], 2).unwrap();
-    for init in [
-        InitMethod::Random,
-        InitMethod::KMeansPlusPlus,
-        InitMethod::default(),
+    let base = KMeans::params(5).parallelism(Parallelism::Sequential);
+    for builder in [
+        base.clone().init(Random),
+        base.clone().init(KMeansPlusPlus),
+        base.clone(),
     ] {
-        let model = KMeans::params(5)
-            .init(init.clone())
-            .parallelism(Parallelism::Sequential)
-            .fit(&points)
-            .unwrap();
-        assert_eq!(model.k(), 5, "{init:?}");
-        assert_eq!(model.cost(), 0.0, "{init:?}");
+        let model = builder.fit(&points).unwrap();
+        assert_eq!(model.k(), 5, "{}", model.init_name());
+        assert_eq!(model.cost(), 0.0, "{}", model.init_name());
     }
 }
 
@@ -157,16 +153,16 @@ fn predict_and_cost_of_enforce_dimensions() {
 #[test]
 fn hamerly_rejects_what_lloyd_rejects() {
     use scalable_kmeans::core::accel::hamerly_lloyd;
-    use scalable_kmeans::core::lloyd::lloyd;
     let exec = Executor::new(Parallelism::Sequential);
     let points = valid_points();
     let init = PointMatrix::from_flat(vec![0.0], 1).unwrap(); // wrong dim
     let config = LloydConfig::default();
-    assert!(lloyd(&points, &init, &config, &exec).is_err());
+    let lloyd = Lloyd(config);
+    assert!(lloyd.refine(&points, None, &init, 0, &exec).is_err());
     assert!(hamerly_lloyd(&points, &init, &config, &exec).is_err());
     let empty = PointMatrix::new(2);
     let seed = points.select(&[0]);
-    assert!(lloyd(&empty, &seed, &config, &exec).is_err());
+    assert!(lloyd.refine(&empty, None, &seed, 0, &exec).is_err());
     assert!(hamerly_lloyd(&empty, &seed, &config, &exec).is_err());
 }
 

@@ -64,7 +64,7 @@ fn exact_l_sampling_invariant_to_thread_count() {
     let points = synth.dataset.points();
     let fit = |par: Parallelism| {
         KMeans::params(12)
-            .init(InitMethod::KMeansParallel(
+            .init(KMeansParallel(
                 KMeansParallelConfig::default().sampling(SamplingMode::ExactL),
             ))
             .seed(6)

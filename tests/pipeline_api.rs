@@ -1,8 +1,9 @@
 //! Pipeline-API contract tests: per-algorithm parity against the
-//! pre-refactor entry points (bit-for-bit per seed), plus the full
-//! Initializer×Refiner grid through the `KMeans` builder — including
+//! algorithm bodies and round drivers (bit-for-bit per seed), plus the
+//! full Initializer×Refiner grid through the `KMeans` builder — including
 //! weighted fits and thread-count invariance.
 
+use scalable_kmeans::core::driver::{drive_kmeans_parallel, drive_lloyd, drive_minibatch};
 use scalable_kmeans::core::pipeline;
 use scalable_kmeans::prelude::*;
 use scalable_kmeans::streaming::CoresetTree;
@@ -19,7 +20,7 @@ fn mixture(k: usize, n: usize, seed: u64) -> PointMatrix {
 }
 
 // ---------------------------------------------------------------------------
-// Parity: every Initializer matches its legacy free-function entry point
+// Parity: every Initializer matches its algorithm body or round driver
 // bit-for-bit for a fixed seed.
 // ---------------------------------------------------------------------------
 
@@ -35,9 +36,6 @@ fn random_initializer_parity() {
         let mut rng = Rng::derive(seed, &[20]);
         let direct = random_init(&points, 6, &mut rng).unwrap();
         assert_eq!(via_trait.centers, direct, "seed {seed}");
-        // And the legacy enum path routes through the same impl.
-        let via_enum = InitMethod::Random.run(&points, 6, seed, &exec).unwrap();
-        assert_eq!(via_enum.centers, direct, "seed {seed}");
     }
 }
 
@@ -53,16 +51,11 @@ fn kmeanspp_initializer_parity() {
         let mut rng = Rng::derive(seed, &[21]);
         let direct = kmeanspp(&points, 6, &mut rng, &exec).unwrap();
         assert_eq!(via_trait.centers, direct, "seed {seed}");
-        let via_enum = InitMethod::KMeansPlusPlus
-            .run(&points, 6, seed, &exec)
-            .unwrap();
-        assert_eq!(via_enum.centers, direct, "seed {seed}");
     }
 }
 
 #[test]
 fn kmeans_parallel_initializer_parity() {
-    use scalable_kmeans::core::init::kmeans_parallel;
     let points = mixture(8, 1_200, 3);
     let exec = Executor::new(Parallelism::Sequential);
     let config = KMeansParallelConfig::default();
@@ -70,14 +63,11 @@ fn kmeans_parallel_initializer_parity() {
         let via_trait = pipeline::KMeansParallel(config)
             .init(&points, None, 8, seed, &exec)
             .unwrap();
-        let (direct, direct_stats) = kmeans_parallel(&points, 8, &config, seed, &exec).unwrap();
+        let mut backend = InMemoryBackend::new(&points, &exec);
+        let (direct, direct_stats) = drive_kmeans_parallel(&mut backend, 8, &config, seed).unwrap();
         assert_eq!(via_trait.centers, direct, "seed {seed}");
         assert_eq!(via_trait.stats.candidates, direct_stats.candidates);
         assert_eq!(via_trait.stats.passes, direct_stats.passes);
-        let via_enum = InitMethod::KMeansParallel(config)
-            .run(&points, 8, seed, &exec)
-            .unwrap();
-        assert_eq!(via_enum.centers, direct, "seed {seed}");
     }
 }
 
@@ -128,23 +118,23 @@ fn coreset_initializer_parity() {
 }
 
 // ---------------------------------------------------------------------------
-// Parity: every Refiner matches its legacy free-function entry point.
+// Parity: every Refiner matches its algorithm body or round driver.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn lloyd_refiner_parity() {
-    use scalable_kmeans::core::lloyd::lloyd;
     let points = mixture(6, 1_000, 7);
     let exec = Executor::new(Parallelism::Sequential);
     for seed in 0..3u64 {
-        let init = InitMethod::KMeansPlusPlus
-            .run(&points, 6, seed, &exec)
+        let init = pipeline::KMeansPlusPlus
+            .init(&points, None, 6, seed, &exec)
             .unwrap();
         let config = LloydConfig::default();
         let via_trait = Lloyd(config)
             .refine(&points, None, &init.centers, seed, &exec)
             .unwrap();
-        let direct = lloyd(&points, &init.centers, &config, &exec).unwrap();
+        let mut backend = InMemoryBackend::new(&points, &exec);
+        let direct = drive_lloyd(&mut backend, &init.centers, &config).unwrap();
         assert_eq!(via_trait.centers, direct.centers, "seed {seed}");
         assert_eq!(via_trait.labels, direct.labels);
         assert_eq!(via_trait.cost.to_bits(), direct.cost.to_bits());
@@ -159,8 +149,8 @@ fn hamerly_refiner_parity() {
     let points = mixture(6, 1_000, 8);
     let exec = Executor::new(Parallelism::Sequential);
     for seed in 0..3u64 {
-        let init = InitMethod::KMeansPlusPlus
-            .run(&points, 6, seed, &exec)
+        let init = pipeline::KMeansPlusPlus
+            .init(&points, None, 6, seed, &exec)
             .unwrap();
         let config = LloydConfig::default();
         let via_trait = HamerlyLloyd(config)
@@ -180,7 +170,6 @@ fn hamerly_refiner_parity() {
 
 #[test]
 fn minibatch_refiner_parity() {
-    use scalable_kmeans::core::minibatch::minibatch_kmeans;
     let points = mixture(5, 900, 9);
     let exec = Executor::new(Parallelism::Sequential);
     let config = MiniBatchConfig {
@@ -188,11 +177,14 @@ fn minibatch_refiner_parity() {
         iterations: 60,
     };
     for seed in 0..3u64 {
-        let init = InitMethod::Random.run(&points, 5, seed, &exec).unwrap();
+        let init = pipeline::Random
+            .init(&points, None, 5, seed, &exec)
+            .unwrap();
         let via_trait = MiniBatch(config)
             .refine(&points, None, &init.centers, seed, &exec)
             .unwrap();
-        let direct = minibatch_kmeans(&points, &init.centers, &config, seed).unwrap();
+        let mut backend = InMemoryBackend::new(&points, &exec);
+        let (direct, _) = drive_minibatch(&mut backend, &init.centers, &config, seed).unwrap();
         assert_eq!(via_trait.centers, direct, "seed {seed}");
     }
 }
@@ -400,16 +392,4 @@ fn hamerly_equals_lloyd_across_all_seeders() {
             );
         }
     }
-}
-
-#[test]
-fn init_method_converts_into_boxed_initializer() {
-    let points = mixture(3, 300, 16);
-    let exec = Executor::new(Parallelism::Sequential);
-    let boxed: Box<dyn Initializer> = InitMethod::KMeansPlusPlus.into();
-    let via_box = boxed.init(&points, None, 3, 5, &exec).unwrap();
-    let via_enum = InitMethod::KMeansPlusPlus
-        .run(&points, 3, 5, &exec)
-        .unwrap();
-    assert_eq!(via_box.centers, via_enum.centers);
 }

@@ -54,13 +54,14 @@ proptest! {
         method_pick in 0usize..3,
     ) {
         let k = 1 + (seed as usize % points.len().min(5));
-        let method = match method_pick {
-            0 => InitMethod::Random,
-            1 => InitMethod::KMeansPlusPlus,
-            _ => InitMethod::default(),
+        let par = KMeansParallel::default();
+        let method: &dyn Initializer = match method_pick {
+            0 => &Random,
+            1 => &KMeansPlusPlus,
+            _ => &par,
         };
         let exec = Executor::new(Parallelism::Sequential);
-        let result = method.run(&points, k, seed, &exec).unwrap();
+        let result = method.init(&points, None, k, seed, &exec).unwrap();
         prop_assert_eq!(result.centers.len(), k);
         prop_assert_eq!(result.centers.dim(), points.dim());
         prop_assert!(result.stats.seed_cost.is_finite());
@@ -79,8 +80,8 @@ proptest! {
     fn seeding_is_deterministic_per_seed(points in datasets(), seed in 0u64..100) {
         let k = 1 + (seed as usize % points.len().min(4));
         let exec = Executor::new(Parallelism::Sequential);
-        let a = InitMethod::default().run(&points, k, seed, &exec).unwrap();
-        let b = InitMethod::default().run(&points, k, seed, &exec).unwrap();
+        let a = KMeansParallel::default().init(&points, None, k, seed, &exec).unwrap();
+        let b = KMeansParallel::default().init(&points, None, k, seed, &exec).unwrap();
         prop_assert_eq!(a.centers, b.centers);
     }
 
@@ -91,14 +92,10 @@ proptest! {
     ) {
         let k = 1 + (seed as usize % points.len().min(4));
         let exec = Executor::new(Parallelism::Sequential);
-        let init = InitMethod::Random.run(&points, k, seed, &exec).unwrap();
-        let result = scalable_kmeans::core::lloyd::lloyd(
-            &points,
-            &init.centers,
-            &LloydConfig { max_iterations: 25, tol: 0.0 },
-            &exec,
-        )
-        .unwrap();
+        let init = Random.init(&points, None, k, seed, &exec).unwrap();
+        let result = Lloyd(LloydConfig { max_iterations: 25, tol: 0.0 })
+            .refine(&points, None, &init.centers, seed, &exec)
+            .unwrap();
         for w in result.history.windows(2) {
             // Reseeding may transiently raise cost; skip those steps.
             if w[1].reseeded == 0 && w[0].reseeded == 0 {
@@ -143,12 +140,11 @@ proptest! {
     #[test]
     fn hamerly_is_equivalent_to_lloyd(points in datasets(), seed in 0u64..100) {
         use scalable_kmeans::core::accel::hamerly_lloyd;
-        use scalable_kmeans::core::lloyd::lloyd;
         let k = 1 + (seed as usize % points.len().min(5));
         let exec = Executor::new(Parallelism::Sequential);
-        let init = InitMethod::KMeansPlusPlus.run(&points, k, seed, &exec).unwrap();
+        let init = KMeansPlusPlus.init(&points, None, k, seed, &exec).unwrap();
         let config = LloydConfig { max_iterations: 60, tol: 0.0 };
-        let plain = lloyd(&points, &init.centers, &config, &exec).unwrap();
+        let plain = Lloyd(config).refine(&points, None, &init.centers, seed, &exec).unwrap();
         let fast = hamerly_lloyd(&points, &init.centers, &config, &exec).unwrap();
         prop_assert_eq!(fast.converged, plain.converged);
         if plain.converged {
